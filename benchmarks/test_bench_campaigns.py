@@ -8,33 +8,19 @@ The campaign acceptance numbers:
   cells, hit rate 1.0) and complete >= 5x faster than the cold run;
 * serial and ``--jobs 2`` runs must merge to identical records.
 
-Consolidated numbers land in ``BENCH_campaigns.json`` (cwd) —
-``{workload: {cold_s, warm_s, cells, cells_per_s, warm_hit_rate,
-...}}`` — uploaded by the CI benchmarks job next to the
-pytest-benchmark timings.
+With ``--benchmark-json PATH``, consolidated numbers land in
+``BENCH_campaigns.json`` next to PATH — ``{workload: {cold_s, warm_s,
+cells, cells_per_s, warm_hit_rate, ...}}`` — uploaded by the CI
+benchmarks job next to the pytest-benchmark timings.
 """
 
-import json
 import time
-from pathlib import Path
+
+from conftest import export_bench
 
 from repro.campaigns.registry import CAMPAIGNS
 from repro.experiments.orchestrator import run_experiment
 from repro.experiments.store import ResultStore
-
-_EXPORT = Path("BENCH_campaigns.json")
-
-
-def record_numbers(workload: str, payload: dict) -> None:
-    """Merge one workload's numbers into the consolidated JSON export."""
-    data = {}
-    if _EXPORT.exists():
-        try:
-            data = json.loads(_EXPORT.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[workload] = payload
-    _EXPORT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def test_campaign_throughput_and_warm_cache(tmp_path):
@@ -64,7 +50,8 @@ def test_campaign_throughput_and_warm_cache(tmp_path):
     comparisons = sum(
         outcome.result["comparisons"] for outcome in cold.shards
     )
-    record_numbers(
+    export_bench(
+        "BENCH_campaigns.json",
         "core_smoke",
         {
             "cells": cells,

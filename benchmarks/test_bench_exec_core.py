@@ -10,18 +10,16 @@ results on every cell.
 Both sides share one pre-warmed :class:`TraceCompiler`, so compile
 cost (unchanged by the refactor) is excluded and the timing isolates
 exactly the replaced layer: meeting solvers + adaptive deepening.
-Timings are best-of-N minima.  Consolidated ratios land in
-``BENCH_exec_core.json`` (cwd) — ``{workload: {cells, legacy_s,
-unified_s, ratio}}`` — uploaded by the CI benchmarks job; the bar is
-``ratio >= 1.0`` on both grids.
+Timings are best-of-N minima.  With ``--benchmark-json PATH``,
+consolidated ratios land in ``BENCH_exec_core.json`` next to PATH —
+``{workload: {cells, legacy_s, unified_s, ratio}}`` — uploaded by the
+CI benchmarks job; the bar is ``ratio >= 1.0`` on both grids.
 """
 
-import json
 import time
-from pathlib import Path
 
 import _legacy_engines as legacy
-from conftest import emit
+from conftest import emit, export_bench
 
 from repro.core import (
     TUNED,
@@ -42,22 +40,7 @@ from repro.sim.schedule_adversary import (
 )
 from repro.symmetry import classify_stic, symmetric_pairs
 
-_EXPORT = Path("BENCH_exec_core.json")
 _REPEATS = 7
-
-
-def record_numbers(workload: str, payload: dict) -> None:
-    """Merge one workload's numbers into the consolidated JSON export."""
-    data = {}
-    if _EXPORT.exists():
-        try:
-            data = json.loads(_EXPORT.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[workload] = payload
-    _EXPORT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def _best_of(fn, repeats=_REPEATS):
     best = float("inf")
     result = None
@@ -143,7 +126,8 @@ def test_exec_core_vs_legacy_engines():
             "ratio": round(sync_ratio, 2),
         },
     )
-    record_numbers(
+    export_bench(
+        "BENCH_exec_core.json",
         "sync_448_stics",
         {
             "cells": len(stics),
@@ -184,7 +168,8 @@ def test_exec_core_vs_legacy_engines():
             "ratio": round(async_ratio, 2),
         },
     )
-    record_numbers(
+    export_bench(
+        "BENCH_exec_core.json",
         "async_225_cells",
         {
             "cells": len(cells),

@@ -10,15 +10,14 @@ The PR-10 acceptance benchmarks for the checkpointed work queue:
 * a ``--resume`` of a fully-completed smoke run must recompute zero
   shards and stay byte-identical to the original merge.
 
-Consolidated numbers are appended to ``BENCH_queue.json`` (cwd),
-uploaded by the CI benchmarks job next to the other BENCH_* exports.
+With ``--benchmark-json PATH``, consolidated numbers are appended to
+``BENCH_queue.json`` next to PATH, uploaded by the CI benchmarks job
+next to the other BENCH_* exports.
 """
 
-import json
 import time
-from pathlib import Path
 
-from conftest import emit
+from conftest import emit, export_bench
 
 from repro.experiments.journal import JOURNAL_NAME, RunJournal, run_dir
 from repro.experiments.orchestrator import run_suite
@@ -26,20 +25,6 @@ from repro.experiments.queue import QueuePolicy, ShardTask, WorkQueue
 from repro.experiments.records import ExperimentRecord
 from repro.experiments.runner import to_markdown
 from repro.experiments.store import ResultStore
-
-_EXPORT = Path("BENCH_queue.json")
-
-
-def record_ratio(workload: str, payload: dict) -> None:
-    """Merge one workload's numbers into the consolidated JSON export."""
-    data = {}
-    if _EXPORT.exists():
-        try:
-            data = json.loads(_EXPORT.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[workload] = payload
-    _EXPORT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _tasks(count: int) -> list[ShardTask]:
@@ -88,7 +73,8 @@ def test_lease_state_machine_throughput(tmp_path):
     # Two events (lease + complete) per cycle, each an fsynced append.
     per_event_us = journaled_s / (2 * n_journaled) * 1e6
 
-    record_ratio(
+    export_bench(
+        "BENCH_queue.json",
         "queue_lease_throughput",
         {
             "plain_cycles_per_s": round(plain_ops),
@@ -126,7 +112,8 @@ def test_resume_overhead_smoke_suite(tmp_path):
 
     assert _md(resumed) == _md(cold)  # byte-identical after resume
 
-    record_ratio(
+    export_bench(
+        "BENCH_queue.json",
         "smoke_suite_resume",
         {
             "cold_s": round(cold_s, 3),

@@ -9,37 +9,21 @@ The PR-4 acceptance benchmarks:
   its wall-clock speedup is recorded, and asserted (>= 1.2x) only
   when the machine actually has multiple CPUs.
 
-Consolidated ratios are appended to ``BENCH_runner.json`` (cwd) —
-``{workload: {cold_s/serial_s, warm_s/parallel_s, speedup, ...}}`` —
-uploaded by the CI benchmarks job next to the pytest-benchmark
-timings.
+With ``--benchmark-json PATH``, consolidated ratios are appended to
+``BENCH_runner.json`` next to PATH — ``{workload: {cold_s/serial_s,
+warm_s/parallel_s, speedup, ...}}`` — uploaded by the CI benchmarks
+job next to the pytest-benchmark timings.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
-from conftest import emit
+from conftest import emit, export_bench
 
 from repro.experiments.orchestrator import run_suite
 from repro.experiments.records import ExperimentRecord
 from repro.experiments.runner import to_markdown
 from repro.experiments.store import ResultStore
-
-_EXPORT = Path("BENCH_runner.json")
-
-
-def record_ratio(workload: str, payload: dict) -> None:
-    """Merge one workload's numbers into the consolidated JSON export."""
-    data = {}
-    if _EXPORT.exists():
-        try:
-            data = json.loads(_EXPORT.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[workload] = payload
-    _EXPORT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _md(runs) -> str:
@@ -70,7 +54,8 @@ def test_warm_cache_and_parallel_fast_tier(tmp_path):
     parallel_speedup = cold_s / parallel_s
     assert _md(parallel) == _md(cold)  # bit-identical merge, any --jobs
 
-    record_ratio(
+    export_bench(
+        "BENCH_runner.json",
         "fast_tier_warm_cache",
         {
             "cold_s": round(cold_s, 3),
@@ -80,7 +65,8 @@ def test_warm_cache_and_parallel_fast_tier(tmp_path):
             "recomputed": recomputed,
         },
     )
-    record_ratio(
+    export_bench(
+        "BENCH_runner.json",
         "fast_tier_parallel",
         {
             "serial_s": round(cold_s, 3),

@@ -12,20 +12,19 @@ The PR-3 acceptance benchmarks:
   ``Y(n)`` at n in {10, 16} must be >= 10x faster vectorized than the
   retained full-walk scalar certification.
 
-Besides the pass/fail assertions, every comparison is appended to
-``BENCH_symmetry.json`` (cwd) — ``{workload: {scalar_s, kernel_s,
-speedup}}`` — so the perf trajectory stays machine-readable across
-PRs; CI uploads the file next to the pytest-benchmark timings.
+Besides the pass/fail assertions, with ``--benchmark-json PATH`` every
+comparison is appended to ``BENCH_symmetry.json`` next to PATH —
+``{workload: {scalar_s, kernel_s, speedup}}`` — so the perf trajectory
+stays machine-readable across PRs; CI uploads the file next to the
+pytest-benchmark timings.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
-from conftest import emit
+from conftest import emit, export_bench
 
 from repro.core.stic import enumerate_stics
 from repro.core.uxs import apply_uxs, is_uxs_for_graph, uxs_for_size
@@ -37,24 +36,19 @@ from repro.symmetry.feasibility import classify_from_symmetry
 from repro.symmetry.shrink import shrink_witness_reference
 from repro.symmetry.views import view_classes_reference
 
-_EXPORT = Path("BENCH_symmetry.json")
-
 
 def record_speedup(workload: str, scalar_s: float, kernel_s: float) -> float:
-    """Merge one old-vs-new timing into the consolidated JSON export."""
-    data = {}
-    if _EXPORT.exists():
-        try:
-            data = json.loads(_EXPORT.read_text())
-        except json.JSONDecodeError:
-            data = {}
+    """Export one old-vs-new timing; returns the speedup."""
     speedup = scalar_s / kernel_s if kernel_s > 0 else float("inf")
-    data[workload] = {
-        "scalar_s": round(scalar_s, 6),
-        "kernel_s": round(kernel_s, 6),
-        "speedup": round(speedup, 2),
-    }
-    _EXPORT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    export_bench(
+        "BENCH_symmetry.json",
+        workload,
+        {
+            "scalar_s": round(scalar_s, 6),
+            "kernel_s": round(kernel_s, 6),
+            "speedup": round(speedup, 2),
+        },
+    )
     return speedup
 
 

@@ -14,10 +14,10 @@ worklist value iteration writes a ``np.lib.format.open_memmap`` atlas
 for the fully symmetric 32x32 oriented torus and must match the dense
 kernel bit for bit.
 
-Every leg appends its timings, throughput, and peak RSS to
-``BENCH_symmetry.json`` (cwd, canonical JSON) so the scale trajectory
-stays machine-readable across PRs; CI uploads the file next to the
-pytest-benchmark timings.
+With ``--benchmark-json PATH``, every leg appends its timings,
+throughput, and peak RSS to ``BENCH_symmetry.json`` next to PATH so
+the scale trajectory stays machine-readable across PRs; CI uploads the
+file next to the pytest-benchmark timings.
 """
 
 import json
@@ -29,29 +29,17 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import export_bench
+
 import repro
 from repro.graphs.families import oriented_torus
 from repro.symmetry.context import SymmetryContext
-
-_EXPORT = Path("BENCH_symmetry.json")
 
 #: Peak-RSS budgets per pipeline leg.  Chosen with ~4x headroom over
 #: measured peaks (79 MiB at n=1e4, 576 MiB at n=1e5) while staying far
 #: below the dense n x n matrix each graph would otherwise need.
 _SMOKE_BUDGET_BYTES = 400 * 1024 * 1024
 _FULL_BUDGET_BYTES = 2 * 1024 * 1024 * 1024
-
-
-def record_entry(workload: str, payload: dict) -> None:
-    """Merge one benchmark payload into the consolidated JSON export."""
-    data = {}
-    if _EXPORT.exists():
-        try:
-            data = json.loads(_EXPORT.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[workload] = payload
-    _EXPORT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 # The pipeline runs in its own interpreter so ru_maxrss measures *this
@@ -139,7 +127,8 @@ def _assert_pipeline_sane(stats: dict, budget_bytes: int) -> None:
 
 
 def _record_pipeline(workload: str, stats: dict, budget_bytes: int) -> None:
-    record_entry(
+    export_bench(
+        "BENCH_symmetry.json",
         workload,
         {
             **stats,
@@ -169,7 +158,7 @@ def test_scale_pipeline_smoke_n10k():
 def test_scale_pipeline_full_n100k():
     """1e5-node random 3-regular graph, full pipeline under 2 GiB —
     the dense kernel would need 80 GB per matrix.  REPRO_FULL=1 only
-    (~1 min); the committed BENCH_symmetry.json carries its trajectory."""
+    (~1 min)."""
     if os.environ.get("REPRO_FULL", "") != "1":
         import pytest
 
@@ -201,7 +190,8 @@ def test_blocked_memmap_all_pairs_matches_dense(tmp_path):
 
     assert np.array_equal(np.load(tmp_path / "shrink.npy"), dense)
     assert int(dense.max()) > 0  # the torus has real symmetric pairs
-    record_entry(
+    export_bench(
+        "BENCH_symmetry.json",
         "blocked_memmap_all_pairs_torus32x32",
         {
             "n": n,

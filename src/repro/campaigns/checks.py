@@ -71,7 +71,7 @@ from repro.core.uxs import (
     is_uxs_for_graph_scalar,
     minimal_verified_uxs,
 )
-from repro.core.uxs_engine import (
+from repro.exec.uxs import (
     apply_uxs_all,
     covered_counts,
     generate_offset_stream,

@@ -243,8 +243,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     run_parser.add_argument(
         "--shard-timeout", type=float, default=None, metavar="SECONDS",
-        help="expire a cell lease after SECONDS and re-lease it "
-        "(default: no hard deadline; heartbeat liveness still applies)",
+        help="with --jobs >= 2, expire a cell lease after SECONDS and "
+        "re-lease it; the expired worker is not killed, so a hung cell "
+        "still blocks the run (default: no deadline)",
     )
     run_parser.set_defaults(func=_cmd_run)
 

@@ -25,7 +25,7 @@ from repro.core.asymm_rv import AsymmParams, asymm_meeting_bound
 from repro.core.bounds import symm_rv_time_bound
 from repro.core.labels import view_reconstruction_budget
 from repro.core.uxs import uxs_for_size
-from repro.core.uxs_engine import generate_offset_stream
+from repro.exec.uxs import generate_offset_stream
 from repro.util.lcg import derive_seed
 
 __all__ = ["Profile", "REFERENCE", "TUNED", "tuned_profile"]

@@ -26,7 +26,7 @@ from collections import OrderedDict
 from functools import lru_cache
 from collections.abc import Sequence
 
-from repro.core.uxs_engine import (
+from repro.exec.uxs import (
     generate_offset_stream,
     is_uxs_for_graph_vectorized,
 )
@@ -172,7 +172,7 @@ def is_uxs_for_graph(graph: PortLabeledGraph, seq: Sequence[int]) -> bool:
     """Certify ``seq`` on one graph: coverage from *every* start node.
 
     Delegates to the vectorized multi-start walk
-    (:func:`repro.core.uxs_engine.is_uxs_for_graph_vectorized`): one
+    (:func:`repro.exec.uxs.is_uxs_for_graph_vectorized`): one
     gather per UXS term advances all ``n`` applications at once, with
     an early exit once every walk has covered the graph.  Same answer
     as :func:`is_uxs_for_graph_scalar` on every input (differential

@@ -2,15 +2,10 @@
 
 Three engines used to reimplement the same machinery — the batched
 STIC sweep (:mod:`repro.sim.batch`), the schedule-adversary sweep
-(:mod:`repro.sim.schedule_adversary`), and the UXS coverage engine
-(:mod:`repro.core.uxs_engine`).  This package is the single shared
-implementation they are now thin frontends over:
+(:mod:`repro.sim.schedule_adversary`), and the UXS coverage engine.
+This package is the single shared implementation; the two sweeps are
+now thin frontends over it:
 
-* :mod:`repro.exec.backend` — the :class:`ArrayBackend` protocol and
-  the default :class:`NumpyBackend`; every gather/scan/reduction the
-  replay stage performs goes through a backend, so the array engine is
-  swappable (numba/GPU-shaped backends slot in without touching the
-  engines).
 * :mod:`repro.exec.trace` — the trace IR: agent behavior is compiled
   once into :class:`PortTrace` arrays by :class:`TraceCompiler`, with
   unified fuel (``tail_waits``) accounting.
@@ -22,21 +17,13 @@ implementation they are now thin frontends over:
 * :mod:`repro.exec.deepen` — :func:`resolve_adaptive`, the shared
   compile-shallow / solve / deepen-geometrically driver.
 * :mod:`repro.exec.uxs` — the dart-automaton replay: UXS streams and
-  multi-start coverage walks as backend gathers.
+  multi-start coverage walks as array gathers.
 
 Equivalence with the retained scalar references is enforced by the
 ``tests/exec`` differential harness (``assert_engines_identical``),
 golden fast-tier experiment fixtures, and the campaign check library.
 """
 
-from repro.exec.backend import (
-    ArrayBackend,
-    NumpyBackend,
-    available_backends,
-    default_backend,
-    get_backend,
-    register_backend,
-)
 from repro.exec.deepen import resolve_adaptive
 from repro.exec.meeting import (
     PENDING,
@@ -55,12 +42,6 @@ from repro.exec.uxs import (
 )
 
 __all__ = [
-    "ArrayBackend",
-    "NumpyBackend",
-    "available_backends",
-    "default_backend",
-    "get_backend",
-    "register_backend",
     "resolve_adaptive",
     "PENDING",
     "resolve_async_cell",

@@ -29,7 +29,8 @@ from __future__ import annotations
 import math
 from typing import Any, NoReturn
 
-from repro.exec.backend import Array, ArrayBackend, default_backend
+import numpy as np
+
 from repro.exec.trace import BadPortChoice, PortTrace, raise_for_stic
 from repro.sim.scheduler import RendezvousResult, SimulationLimit
 
@@ -71,30 +72,28 @@ def solve_sync_meeting(
     trace_b: PortTrace,
     delta: int,
     limit: int,
-    backend: ArrayBackend | None = None,
 ) -> tuple[int, int] | None:
     """Earliest ``(t, node)`` with ``a(t) == b(t - delta)``, for global
     ``t`` in ``[delta, limit]`` inclusive; ``None`` when they never
     coincide there.  Works on trace breakpoints, not rounds."""
     if delta > limit:
         return None
-    xp = backend if backend is not None else default_backend()
     ta = trace_a.times
     tb = trace_b.times + delta
-    cut_a = int(xp.searchsorted(ta, limit, side="right"))
-    cut_b = int(xp.searchsorted(tb, limit, side="right"))
-    bp = xp.sort(xp.concatenate((ta[:cut_a], tb[:cut_b])))
+    cut_a = int(np.searchsorted(ta, limit, side="right"))
+    cut_b = int(np.searchsorted(tb, limit, side="right"))
+    bp = np.sort(np.concatenate((ta[:cut_a], tb[:cut_b])))
     bp = bp[bp >= delta]
     if len(bp) == 0 or bp[0] != delta:
-        bp = xp.concatenate(([delta], bp))
-    pos_a = trace_a.nodes[xp.searchsorted(ta, bp, side="right") - 1]
+        bp = np.concatenate(([delta], bp))
+    pos_a = trace_a.nodes[np.searchsorted(ta, bp, side="right") - 1]
     pos_b = trace_b.nodes[
-        xp.searchsorted(trace_b.times, bp - delta, side="right") - 1
+        np.searchsorted(trace_b.times, bp - delta, side="right") - 1
     ]
     eq = pos_a == pos_b
     if not eq.any():
         return None
-    k = xp.argmax(eq)
+    k = int(eq.argmax())
     return int(bp[k]), int(pos_a[k])
 
 
@@ -106,7 +105,6 @@ def resolve_sync_cell(
     trace_u: PortTrace,
     trace_v: PortTrace,
     raise_on_limit: bool,
-    backend: ArrayBackend | None = None,
     solver: Any = None,
 ) -> Any:  # RendezvousResult, or the PENDING sentinel
     """Resolve one STIC from (possibly truncated) traces.
@@ -120,7 +118,7 @@ def resolve_sync_cell(
     """
     limit = min(max_rounds, trace_u.limit, delta + trace_v.limit)
     if solver is None:
-        hit = solve_sync_meeting(trace_u, trace_v, delta, int(limit), backend)
+        hit = solve_sync_meeting(trace_u, trace_v, delta, int(limit))
     else:
         hit = solver(trace_u, trace_v, delta, int(limit))
     if hit is not None:
@@ -172,29 +170,22 @@ def raise_for_async(exc: Exception, node: int) -> NoReturn:
     raise exc
 
 
-def first_error_event(
-    cum: Array,
-    agent: int,
-    trace: PortTrace,
-    backend: ArrayBackend | None = None,
-) -> float:
+def first_error_event(cum: np.ndarray, agent: int, trace: PortTrace) -> float:
     """Event at which the schedule would pull this trace's failing
     decision (the pull after its last compiled move), or ``inf``."""
     if trace.error is None:
         return math.inf
-    xp = backend if backend is not None else default_backend()
-    pulls = xp.flatnonzero(
+    pulls = np.flatnonzero(
         (cum[1:, agent] > cum[:-1, agent]) & (cum[:-1, agent] == trace.moves)
     )
     return int(pulls[0]) if len(pulls) else math.inf
 
 
 def resolve_async_cell(
-    cum: Array,
+    cum: np.ndarray,
     budget: int,
     trace_u: PortTrace,
     trace_v: PortTrace,
-    backend: ArrayBackend | None = None,
 ) -> Any:  # AsyncOutcome, or the PENDING sentinel
     """Resolve one (pair, schedule) cell from (possibly truncated)
     traces.
@@ -208,7 +199,6 @@ def resolve_async_cell(
     true earliest one.
     """
     AsyncOutcome = _ASYNC_OUTCOME or _async_outcome_cls()
-    xp = backend if backend is not None else default_backend()
     cap_a = budget + 1 if trace_u.complete else trace_u.moves
     cap_b = budget + 1 if trace_v.complete else trace_v.moves
     # Cumulative activation counts are monotone, so "no row exceeds the
@@ -218,18 +208,22 @@ def resolve_async_cell(
         e_valid = budget
     else:
         exceed = (cum[:, 0] > cap_a) | (cum[:, 1] > cap_b)
-        e_valid = xp.argmax(exceed) - 1
+        e_valid = int(exceed.argmax()) - 1
     # Within the validity slice ``cum <= cap`` holds row by row, so the
     # clamp to ``moves`` is an identity unless the script terminated
     # (``cap = budget + 1``) — skip the two array passes otherwise.
     sl = cum[: e_valid + 1]
-    ca = xp.minimum(sl[:, 0], trace_u.moves) if trace_u.complete else sl[:, 0]
-    cb = xp.minimum(sl[:, 1], trace_v.moves) if trace_v.complete else sl[:, 1]
-    pos_a = xp.take(trace_u.nodes, ca)
-    pos_b = xp.take(trace_v.nodes, cb)
+    ca = np.minimum(sl[:, 0], trace_u.moves) if trace_u.complete else sl[:, 0]
+    cb = np.minimum(sl[:, 1], trace_v.moves) if trace_v.complete else sl[:, 1]
+    # ndarray.take, not np.take: the free function adds two Python
+    # frames per gather on this per-cell hot path.
+    pos_a = trace_u.nodes.take(ca)
+    pos_b = trace_v.nodes.take(cb)
     eq = pos_a == pos_b
     met = bool(eq.any())
-    k = xp.argmax(eq) if met else None
+    # A Python int: it lands in AsyncOutcome, which goes through
+    # canonical JSON.
+    k = int(eq.argmax()) if met else None
 
     # An agent error binds when its failing pull would execute before
     # the first node meeting (meetings are checked at the top of each
@@ -242,7 +236,7 @@ def resolve_async_cell(
     else:
         candidates = []
         for agent, trace in ((0, trace_u), (1, trace_v)):
-            event = first_error_event(cum, agent, trace, xp)
+            event = first_error_event(cum, agent, trace)
             if not math.isinf(event):
                 kind = 1 if isinstance(trace.error, BadPortChoice) else 0
                 candidates.append((event, kind, agent, trace))

@@ -22,21 +22,16 @@ The compiled :class:`PortTrace` is the IR every engine consumes:
 * ``tail_waits`` is the unified fuel gauge: consecutive wait actions
   since the last move, the quantity both engines' starvation guards
   meter.
-
-Array construction goes through the :class:`~repro.exec.backend.
-ArrayBackend` protocol so compiled traces land directly in the space
-the replay stage gathers over.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, NoReturn
+from typing import Callable, NoReturn
 
 import numpy as np
 
-from repro.exec.backend import Array, ArrayBackend, default_backend
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.sim.actions import Action, Move, Perception, Wait, WaitBlock
 from repro.sim.agent import AgentScript
@@ -126,8 +121,8 @@ class PortTrace:
     """
 
     start: int
-    times: Array
-    nodes: Array
+    times: np.ndarray
+    nodes: np.ndarray
     valid_through: int
     complete: bool
     error: Exception | None = None
@@ -215,12 +210,10 @@ class TraceCompiler:
         algorithm: Callable,
         *,
         oracle_factory: Callable[[int], object] | None = None,
-        backend: ArrayBackend | None = None,
     ) -> None:
         self._graph = graph
         self._algorithm = algorithm
         self._oracle_factory = oracle_factory
-        self._backend = backend if backend is not None else default_backend()
         self._oracles: dict[int, object] = {}
         self._trie: dict[tuple[int, int], _TrieNode] = {}
         self._tries: dict[int, dict] = {}  # per-start roots (oracle mode)
@@ -230,11 +223,6 @@ class TraceCompiler:
         self._deg_list: list[int] = graph.degrees.tolist()
         self._succ_list: list[list[int]] = graph.succ_node_array.tolist()
         self._succ_port_list: list[list[int]] = graph.succ_port_array.tolist()
-
-    @property
-    def backend(self) -> ArrayBackend:
-        """The array backend compiled traces are materialized into."""
-        return self._backend
 
     # -- public -----------------------------------------------------------
     def trace(self, start: int, horizon: int) -> PortTrace:
@@ -393,15 +381,14 @@ class TraceCompiler:
             else:
                 clock += action.rounds
                 tail_waits += 1
-        xp = self._backend
-        times = xp.zeros(len(move_clocks) + 1, dtype=np.int64)
+        times = np.zeros(len(move_clocks) + 1, dtype=np.int64)
         if move_clocks:
-            times[1:] = xp.asarray(move_clocks, dtype=np.int64) + 1
-            nodes = xp.concatenate(
-                ([start], xp.asarray(move_pos, dtype=np.int64))
+            times[1:] = np.asarray(move_clocks, dtype=np.int64) + 1
+            nodes = np.concatenate(
+                ([start], np.asarray(move_pos, dtype=np.int64))
             )
         else:
-            nodes = xp.asarray([start], dtype=np.int64)
+            nodes = np.asarray([start], dtype=np.int64)
         self._cache[start] = PortTrace(
             start=start,
             times=times,
@@ -485,18 +472,17 @@ class TraceCompiler:
                 worklist.append(sub)
 
     def _finalize(self, g: _Group) -> None:
-        xp = self._backend
-        times = xp.zeros(len(g.move_clocks) + 1, dtype=np.int64)
+        times = np.zeros(len(g.move_clocks) + 1, dtype=np.int64)
         if g.move_clocks:
-            times[1:] = xp.asarray(g.move_clocks, dtype=np.int64) + 1
+            times[1:] = np.asarray(g.move_clocks, dtype=np.int64) + 1
             mat = np.array(g.poslog, dtype=np.int64)
         for j, start in enumerate(g.starts.tolist()):
             if g.move_clocks:
-                nodes = xp.concatenate(
-                    ([start], xp.asarray(mat[:, j], dtype=np.int64))
+                nodes = np.concatenate(
+                    ([start], np.asarray(mat[:, j], dtype=np.int64))
                 )
             else:
-                nodes = xp.asarray([start], dtype=np.int64)
+                nodes = np.asarray([start], dtype=np.int64)
             self._cache[start] = PortTrace(
                 start=start,
                 times=times,

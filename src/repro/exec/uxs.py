@@ -25,7 +25,7 @@ differential harness):
   entry ports ``0..d-1``, the dart space has one id per directed edge
   plus the virtual start darts.  A precompiled table maps
   ``(offset value, dart) -> next dart``, so each step of the walk — for
-  every start node at once — is a single backend gather.  Coverage
+  every start node at once — is a single gather.  Coverage
   tracking is batched: darts are recorded into a chunk buffer and
   folded into the per-start visited sets once per chunk, with an early
   exit as soon as every walk has covered the graph (the scalar walk
@@ -33,9 +33,8 @@ differential harness):
   fix).
 
 This is the UXS face of the execution core: like the trace replay in
-:mod:`repro.exec.meeting`, the inner loop is nothing but
-``backend.take`` gathers through a compiled transition table, so a
-device-array backend accelerates both engines at once.
+:mod:`repro.exec.meeting`, the inner loop is nothing but ndarray
+``.take`` gathers through a compiled transition table.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.exec.backend import ArrayBackend, default_backend
 from repro.graphs.port_graph import PortLabeledGraph
 
 __all__ = [
@@ -118,7 +116,7 @@ class DartWalkTable:
     so the automaton is the integer table
     ``transitions[a, dart] -> dart`` (darts are encoded as
     ``node * max_degree + entry_port``).  Applying one UXS term to
-    every concurrent walk is then a single backend gather.
+    every concurrent walk is then a single gather.
 
     The symbol axis is bounded by ``bound = max(2n, 2)`` — the offset
     range of every generated stream.  Offsets only matter modulo the
@@ -137,17 +135,9 @@ class DartWalkTable:
         "port_step",
         "dart_entry",
         "dart_degree",
-        "backend",
     )
 
-    def __init__(
-        self,
-        graph: PortLabeledGraph,
-        bound: int,
-        *,
-        backend: ArrayBackend | None = None,
-    ) -> None:
-        xp = backend if backend is not None else default_backend()
+    def __init__(self, graph: PortLabeledGraph, bound: int) -> None:
         n = graph.n
         succ = graph.succ_node_array
         entry = graph.succ_port_array
@@ -171,35 +161,29 @@ class DartWalkTable:
         self.graph = graph
         self.bound = bound
         self.max_degree = md
-        self.backend = xp
-        self.transitions = xp.asarray(np.ascontiguousarray(table))
+        self.transitions = np.ascontiguousarray(table)
         # Port-indexed transition (out-port darts share the encoding
         # space): port_step[v * md + p] = successor dart of leaving v
         # by port p.  Backbone of the out-of-range fallback.
-        self.port_step = xp.asarray(
-            np.where(flat_succ >= 0, flat_succ * md + flat_entry, 0)
-        )
-        self.dart_entry = xp.asarray(port_of)
-        self.dart_degree = xp.asarray(safe_deg)
+        self.port_step = np.where(flat_succ >= 0, flat_succ * md + flat_entry, 0)
+        self.dart_entry = port_of
+        self.dart_degree = safe_deg
 
     def start_darts(self) -> np.ndarray:
         """Initial darts after the fixed first step ``succ(u, 0)``."""
         graph = self.graph
         succ = graph.succ_node_array
         entry = graph.succ_port_array
-        return self.backend.asarray(
-            succ[:, 0] * self.max_degree + entry[:, 0]
-        )
+        return succ[:, 0] * self.max_degree + entry[:, 0]
 
     def step_direct(
         self, darts: np.ndarray, offset: int, out: np.ndarray
     ) -> None:
         """One walk step for an offset outside the symbol table:
         reduce the offset modulo each lane's degree explicitly."""
-        xp = self.backend
-        entry = xp.take(self.dart_entry, darts)
-        ports = (entry + offset) % xp.take(self.dart_degree, darts)
-        xp.take(self.port_step, darts - entry + ports, out=out)
+        entry = self.dart_entry.take(darts)
+        ports = (entry + offset) % self.dart_degree.take(darts)
+        self.port_step.take(darts - entry + ports, out=out)
 
 
 def _as_offsets(seq: Sequence[int]) -> np.ndarray:
@@ -211,38 +195,31 @@ def _as_offsets(seq: Sequence[int]) -> np.ndarray:
     return offsets
 
 
-def apply_uxs_all(
-    graph: PortLabeledGraph,
-    seq: Sequence[int],
-    *,
-    backend: ArrayBackend | None = None,
-) -> np.ndarray:
+def apply_uxs_all(graph: PortLabeledGraph, seq: Sequence[int]) -> np.ndarray:
     """Applications of ``seq`` from **every** start node at once.
 
     Returns an ``(n, len(seq) + 2)`` node matrix whose row ``u`` equals
     ``apply_uxs(graph, u, seq)`` (for single-node graphs: shape
     ``(1, 1)``, matching the scalar walk that cannot leave the node).
     """
-    xp = backend if backend is not None else default_backend()
     n = graph.n
     if n == 1:
-        return xp.zeros((1, 1), dtype=np.int64)
+        return np.zeros((1, 1), dtype=np.int64)
     offsets = _as_offsets(seq)
-    table = DartWalkTable(graph, max(2 * n, 2), backend=xp)
+    table = DartWalkTable(graph, max(2 * n, 2))
     md = table.max_degree
     steps = len(offsets)
-    darts = xp.empty((steps + 1, n), dtype=np.int64)
+    darts = np.empty((steps + 1, n), dtype=np.int64)
     darts[0] = table.start_darts()
     transitions = table.transitions
-    take = xp.take
     in_table = offsets < table.bound
     for k in range(steps):
         if in_table[k]:
-            take(transitions[offsets[k]], darts[k], out=darts[k + 1])
+            transitions[offsets[k]].take(darts[k], out=darts[k + 1])
         else:
             table.step_direct(darts[k], int(offsets[k]), darts[k + 1])
-    nodes = xp.empty((n, steps + 2), dtype=np.int64)
-    nodes[:, 0] = xp.arange(n)
+    nodes = np.empty((n, steps + 2), dtype=np.int64)
+    nodes[:, 0] = np.arange(n)
     nodes[:, 1:] = (darts // md).T
     return nodes
 
@@ -253,7 +230,6 @@ def covered_counts(
     *,
     chunk: int = 512,
     stop_when_all_covered: bool = True,
-    backend: ArrayBackend | None = None,
     block_size: int | None = None,
 ) -> np.ndarray:
     """Distinct nodes visited by the application of ``seq`` from each
@@ -278,16 +254,15 @@ def covered_counts(
     historical behavior; counts are per-lane independent, hence
     bit-identical for every block split.
     """
-    xp = backend if backend is not None else default_backend()
     n = graph.n
     if n == 1:
-        return xp.asarray([1], dtype=np.int64)
+        return np.asarray([1], dtype=np.int64)
     if block_size is not None and block_size <= 0:
         raise ValueError(f"block_size must be positive, got {block_size}")
-    table = DartWalkTable(graph, max(2 * n, 2), backend=xp)
+    table = DartWalkTable(graph, max(2 * n, 2))
     block = n if block_size is None else min(int(block_size), n)
     start_darts = table.start_darts()
-    counts = xp.empty(n, dtype=np.int64)
+    counts = np.empty(n, dtype=np.int64)
     for lane0 in range(0, n, block):
         lane1 = min(lane0 + block, n)
         counts[lane0:lane1] = _covered_counts_lanes(
@@ -298,7 +273,6 @@ def covered_counts(
             seq,
             chunk,
             stop_when_all_covered,
-            xp,
         )
     return counts
 
@@ -311,26 +285,24 @@ def _covered_counts_lanes(
     seq: Sequence[int],
     chunk: int,
     stop_when_all_covered: bool,
-    xp: ArrayBackend,
 ) -> np.ndarray:
     """Coverage counts for start lanes ``lane0 .. lane1 - 1``."""
     graph = table.graph
     n = graph.n
     md = table.max_degree
     transitions = table.transitions
-    take = xp.take
     width = lane1 - lane0
 
-    visited = xp.zeros((width, n), dtype=bool)
-    local = xp.arange(width)
-    visited[local, xp.arange(lane0, lane1)] = True
+    visited = np.zeros((width, n), dtype=bool)
+    local = np.arange(width)
+    visited[local, np.arange(lane0, lane1)] = True
 
     darts = start_darts[lane0:lane1]
     visited[local, darts // md] = True
     if stop_when_all_covered and visited.all():
         return visited.sum(axis=1)
 
-    buffer = xp.empty((chunk, width), dtype=np.int64)
+    buffer = np.empty((chunk, width), dtype=np.int64)
     lane_base = local * n
     visited_flat = visited.reshape(-1)
     position = 0
@@ -343,13 +315,13 @@ def _covered_counts_lanes(
         previous = darts
         if int(offsets.max()) < table.bound:
             for k in range(size):
-                take(transitions[offsets[k]], previous, out=buffer[k])
+                transitions[offsets[k]].take(previous, out=buffer[k])
                 previous = buffer[k]
         else:
             in_table = offsets < table.bound
             for k in range(size):
                 if in_table[k]:
-                    take(transitions[offsets[k]], previous, out=buffer[k])
+                    transitions[offsets[k]].take(previous, out=buffer[k])
                 else:
                     table.step_direct(previous, int(offsets[k]), buffer[k])
                 previous = buffer[k]
@@ -367,7 +339,6 @@ def is_uxs_for_graph_vectorized(
     graph: PortLabeledGraph,
     seq: Sequence[int],
     *,
-    backend: ArrayBackend | None = None,
     block_size: int | None = None,
 ) -> bool:
     """Certify ``seq`` on one graph: coverage from *every* start node.
@@ -380,8 +351,5 @@ def is_uxs_for_graph_vectorized(
     if graph.n == 1:
         return True
     return bool(
-        (
-            covered_counts(graph, seq, backend=backend, block_size=block_size)
-            == graph.n
-        ).all()
+        (covered_counts(graph, seq, block_size=block_size) == graph.n).all()
     )

@@ -6,16 +6,18 @@ order — but execution now rides the three-layer spine
 (docs/orchestration.md):
 
 * :mod:`repro.experiments.queue` — shards become leased tasks with
-  per-shard timeout, heartbeat liveness, bounded retry, and poison-
-  shard **quarantine** (a deterministically-failing shard is recorded
-  as a JSON replay artifact and the run continues);
+  bounded retry and poison-shard **quarantine** (a deterministically-
+  failing shard is recorded as a JSON replay artifact and the run
+  continues).  A per-shard lease deadline applies only under
+  ``jobs >= 2``, and an expired worker is not killed, so a shard that
+  hangs forever still blocks the run;
 * :mod:`repro.experiments.journal` — every run with a store gets an
   append-only canonical-JSON **run journal** under
   ``<cache-dir>/runs/<run-id>/``; ``resume=True`` re-attaches to it,
   recomputing nothing that completed before a kill;
 * :mod:`repro.experiments.store` — completed shard results live in
-  the content-addressed :class:`ResultStore` behind a pluggable
-  backend.
+  the content-addressed :class:`ResultStore`, one atomically written
+  JSON file per shard.
 
 Determinism guarantees (pinned by tests/experiments/):
 
@@ -57,7 +59,8 @@ from repro.experiments.scenarios import (
     ScenarioSpec,
     get_scenario,
 )
-from repro.experiments.store import ResultStore, json_roundtrip, shard_key
+from repro.experiments.store import ResultStore, shard_key
+from repro.util.encoding import json_roundtrip
 
 __all__ = [
     "ShardOutcome",

@@ -1,15 +1,17 @@
 """Work-queue core: leased shards, bounded retry, poison quarantine.
 
-The middle layer of the execution spine (store backends below, the
+The middle layer of the execution spine (the result store below, the
 ``run_suite`` frontend above — docs/orchestration.md).  Planning turns
 every missing shard into a :class:`ShardTask`; a :class:`WorkQueue`
 then hands tasks to workers under a **lease** discipline instead of
 fire-and-forget futures:
 
-* a lease carries a token and (optionally) a deadline + a heartbeat
-  file the worker touches while computing; a worker that crashes or
-  goes silent has its lease **expired and the shard re-leased** to
-  another worker rather than lost with the run;
+* a lease carries a token and (optionally) a deadline.  Under a
+  worker pool (``jobs >= 2``) a lease past its deadline is **expired
+  and the shard re-leased** rather than lost with the run; the expired
+  worker is not killed, so a shard that hangs forever still holds its
+  pool slot and blocks the run.  A worker that *crashes* breaks the
+  pool, and its shard is failed and re-leased on a fresh pool;
 * failures are retried up to ``QueuePolicy.max_retries`` extra
   attempts; a shard that fails deterministically every time is
   **quarantined** — recorded in the run journal and written out as a
@@ -38,7 +40,6 @@ import importlib
 import json
 import os
 import tempfile
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -103,33 +104,26 @@ class ShardTask:
 class QueuePolicy:
     """Lease/retry knobs (CLI: ``--max-retries`` / ``--shard-timeout``).
 
-    ``shard_timeout`` is the hard per-shard wall bound: a lease older
-    than this is expired and re-issued (counts as a failed attempt, so
-    a deterministically-hung shard eventually quarantines).  The
-    heartbeat pair detects *crashed* workers faster than the hard
-    timeout: workers touch a per-lease file every
-    ``heartbeat_interval`` seconds and a lease whose heartbeat goes
-    stale for ``heartbeat_timeout`` is expired early.  Heartbeats are
-    only armed when the queue has a run directory to put them in.
+    ``shard_timeout`` is a per-lease deadline, checked only by the
+    pooled loop (``jobs >= 2``): a lease older than this is expired and
+    re-issued, counting as a failed attempt.  The expired worker is not
+    killed and keeps its pool slot, so a shard that hangs forever still
+    blocks the run rather than quarantining.  Serial runs never expire
+    a lease.
     """
 
     max_retries: int = DEFAULT_MAX_RETRIES
     shard_timeout: float | None = None
-    heartbeat_interval: float = 1.0
-    heartbeat_timeout: float | None = None
     poll_interval: float = 0.1
 
 
 @dataclass
 class Lease:
-    """One issued lease: the task plus its liveness bookkeeping."""
+    """One issued lease: the task, its token and its deadline."""
 
     task: ShardTask
     token: int
     deadline: float | None = None
-    heartbeat_path: Path | None = None
-    hb_mtime: float | None = None
-    hb_seen: float | None = None
 
 
 @dataclass
@@ -149,7 +143,7 @@ class WorkQueue:
     Single-coordinator, many-worker: the coordinating process owns the
     queue and journal; workers (a local process pool today, remote
     hosts behind the same interface tomorrow) only ever see
-    :class:`ShardTask` payloads and heartbeat file paths.
+    :class:`ShardTask` payloads.
     """
 
     def __init__(
@@ -223,16 +217,6 @@ class WorkQueue:
             lease = Lease(task=state.task, token=state.token)
             if self.policy.shard_timeout is not None:
                 lease.deadline = self.clock() + self.policy.shard_timeout
-            if (
-                self.run_dir is not None
-                and self.policy.heartbeat_timeout is not None
-            ):
-                hb_dir = self.run_dir / "heartbeats"
-                hb_dir.mkdir(parents=True, exist_ok=True)
-                lease.heartbeat_path = hb_dir / (
-                    f"{state.task.key[:16]}-{state.token}.hb"
-                )
-                lease.hb_seen = self.clock()
             state.lease = lease
             self._journal(
                 {
@@ -298,53 +282,27 @@ class WorkQueue:
         return PENDING
 
     def expire_stale_leases(self) -> list[Lease]:
-        """Expire leases past their deadline or with a dead heartbeat.
+        """Expire leases past their deadline.
 
         Each expiry is a failed attempt routed through :meth:`fail`, so
-        the retry bound (and eventual quarantine) applies to hangs and
-        crashes exactly as to raised exceptions.  Returns the expired
-        leases (for the executor to drop its future bookkeeping).
+        the retry bound (and eventual quarantine) applies to it exactly
+        as to a raised exception.  Returns the expired leases.
         """
         expired: list[Lease] = []
+        now = self.clock()
         for uid in self._order:
             state = self._states[uid]
             lease = state.lease
             if state.status != LEASED or lease is None:
                 continue
-            reason = self._expiry_reason(lease)
-            if reason is not None:
+            if lease.deadline is not None and now > lease.deadline:
                 expired.append(lease)
-                self.fail(lease, reason)
-        return expired
-
-    def _expiry_reason(self, lease: Lease) -> str | None:
-        clock_now = self.clock()
-        if lease.deadline is not None and clock_now > lease.deadline:
-            return (
-                f"lease expired: shard exceeded --shard-timeout "
-                f"{self.policy.shard_timeout}s"
-            )
-        if (
-            lease.heartbeat_path is not None
-            and self.policy.heartbeat_timeout is not None
-        ):
-            try:
-                mtime: float | None = lease.heartbeat_path.stat().st_mtime
-            except OSError:
-                mtime = None
-            if mtime is not None and mtime != lease.hb_mtime:
-                # The file advanced since we last looked: worker alive.
-                lease.hb_mtime = mtime
-                lease.hb_seen = clock_now
-            elif (
-                lease.hb_seen is not None
-                and clock_now - lease.hb_seen > self.policy.heartbeat_timeout
-            ):
-                return (
-                    "lease expired: worker heartbeat silent for "
-                    f"{self.policy.heartbeat_timeout}s (crashed or wedged)"
+                self.fail(
+                    lease,
+                    f"lease expired: shard exceeded --shard-timeout "
+                    f"{self.policy.shard_timeout}s",
                 )
-        return None
+        return expired
 
     # -- quarantine artifacts -----------------------------------------
 
@@ -421,46 +379,18 @@ def replay_quarantined_shard(path: str | os.PathLike) -> dict:
 # -- worker side -------------------------------------------------------
 
 
-def _beat(path: str, interval: float, stop: threading.Event) -> None:
-    while not stop.wait(interval):
-        try:
-            Path(path).touch()
-        except OSError:  # pragma: no cover - run dir vanished
-            return
-
-
 def execute_shard_task(
-    module: str,
-    config_dict: dict,
-    shard: dict,
-    heartbeat_path: str | None = None,
-    heartbeat_interval: float = 1.0,
+    module: str, config_dict: dict, shard: dict
 ) -> tuple[dict, float]:
     """Worker entry point (top-level so it pickles across processes).
 
     Returns ``(result, seconds)`` with the execution time measured in
     the worker itself, so parallel runs attribute time correctly.
-    While the shard computes, a daemon thread touches
-    ``heartbeat_path`` every ``heartbeat_interval`` seconds — the
-    queue's liveness signal.
     """
-    stop: threading.Event | None = None
-    if heartbeat_path is not None:
-        Path(heartbeat_path).touch()
-        stop = threading.Event()
-        threading.Thread(
-            target=_beat,
-            args=(heartbeat_path, heartbeat_interval, stop),
-            daemon=True,
-        ).start()
-    try:
-        driver = importlib.import_module(module)
-        t0 = time.perf_counter()
-        result = driver.run_shard(RunConfig.from_json_dict(config_dict), shard)
-        return result, time.perf_counter() - t0
-    finally:
-        if stop is not None:
-            stop.set()
+    driver = importlib.import_module(module)
+    t0 = time.perf_counter()
+    result = driver.run_shard(RunConfig.from_json_dict(config_dict), shard)
+    return result, time.perf_counter() - t0
 
 
 # -- coordinator loop --------------------------------------------------
@@ -477,10 +407,10 @@ def run_queue(
     ``on_result`` fires exactly once per completed task (first result
     wins) in completion order; merge determinism comes from the plan,
     not from this callback's ordering.  With ``jobs <= 1`` shards run
-    in-process (no pool, so hard timeouts cannot preempt a hung shard
-    — they still bound *retries* of failing ones); with ``jobs > 1``
-    a worker pool executes leases, is rebuilt if a worker crash breaks
-    it, and expired leases are re-issued to surviving workers.
+    in-process and leases never expire; with ``jobs > 1`` a worker pool
+    executes leases, is rebuilt if a worker crash breaks it, and leases
+    past their deadline are re-issued.  An expired lease's worker is
+    not killed: it keeps its pool slot until its shard returns.
     """
     if jobs <= 1:
         _run_serial(queue, on_result)
@@ -529,10 +459,6 @@ def _run_pooled(
                     lease.task.module,
                     lease.task.config,
                     lease.task.shard,
-                    str(lease.heartbeat_path)
-                    if lease.heartbeat_path is not None
-                    else None,
-                    queue.policy.heartbeat_interval,
                 )
                 in_flight[future] = lease
             if not in_flight:

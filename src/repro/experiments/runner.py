@@ -251,8 +251,9 @@ def _main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--shard-timeout", type=float, default=None, metavar="SECONDS",
-        help="expire a shard lease after SECONDS and re-lease it "
-        "(default: no hard deadline; heartbeat liveness still applies)",
+        help="with --jobs >= 2, expire a shard lease after SECONDS and "
+        "re-lease it; the expired worker is not killed, so a hung shard "
+        "still blocks the run (default: no deadline)",
     )
     parser.add_argument(
         "--replay-shard", metavar="ARTIFACT", default=None,

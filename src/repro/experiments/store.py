@@ -14,25 +14,11 @@ or the driver version changes the key and transparently invalidates
 the entry.  Interrupted runs resume for free: completed shards are
 already on disk, only missing ones recompute.
 
-How bytes reach disk is delegated to a pluggable **backend**
-(:class:`StoreBackend`):
-
-* :class:`LocalDirBackend` (default) — plain JSON files
-  (``<root>/<key[:2]>/<key>.json``) written atomically, so a store
-  survives crashes and can be inspected, diffed, or garbage-collected
-  with ordinary shell tools;
-* :class:`SharedDirBackend` — the same layout hardened for many
-  concurrent writer *processes* (the work-queue's pooled workers, or
-  several campaign runs sharing one cache): entries are write-once
-  (first writer wins, so concurrent writers never replace a file a
-  reader has open) and fsynced for crash durability.  Reads stay
-  lock-free in both backends.
-
-Register additional backends (a remote/object-store backend is the
-roadmap's item-3 target) with :func:`register_store_backend`.
-
-``canonical_json`` / ``json_roundtrip`` historically lived here and
-are re-exported; their home is :mod:`repro.util.encoding`.
+Entries are plain JSON files (``<root>/<key[:2]>/<key>.json``)
+written atomically (tempfile + ``os.replace``), so a store survives
+crashes, a reader never observes a half-written entry, and the cache
+can be inspected, diffed, or garbage-collected with ordinary shell
+tools.  Reads are lock-free.
 """
 
 from __future__ import annotations
@@ -43,22 +29,14 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Protocol, runtime_checkable
 
 from repro.experiments.scenarios import RunConfig
-from repro.util.encoding import canonical_json, json_roundtrip
+from repro.util.encoding import canonical_json
 
 __all__ = [
     "STORE_VERSION",
     "DEFAULT_CACHE_DIR",
-    "canonical_json",
-    "json_roundtrip",
     "shard_key",
-    "StoreBackend",
-    "LocalDirBackend",
-    "SharedDirBackend",
-    "STORE_BACKENDS",
-    "register_store_backend",
     "GcReport",
     "ResultStore",
 ]
@@ -84,150 +62,6 @@ def shard_key(config: RunConfig, shard: dict, code_version: int) -> str:
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
-@runtime_checkable
-class StoreBackend(Protocol):
-    """How entry text reaches and leaves durable storage.
-
-    Backends deal in raw entry *text* addressed by key; parsing,
-    validation against the claimed key, and canonical-JSON semantics
-    stay in :class:`ResultStore`, so every backend inherits them
-    bit-identically.
-    """
-
-    root: Path
-
-    def path_for(self, key: str) -> Path:
-        """Where the entry for ``key`` lives (for reports/diagnostics)."""
-        ...
-
-    def read(self, key: str) -> str | None:
-        """Entry text for ``key``, or None if absent/unreadable."""
-        ...
-
-    def write(self, key: str, text: str) -> None:
-        """Durably persist entry text under ``key``."""
-        ...
-
-    def delete(self, path: Path) -> bool:
-        """Remove one file; False if it was already gone."""
-        ...
-
-    def entry_files(self) -> list[Path]:
-        """Every candidate entry file (``??/*.json``), sorted."""
-        ...
-
-    def stray_files(self) -> list[Path]:
-        """Leftover temp files from interrupted writes, sorted."""
-        ...
-
-
-class LocalDirBackend:
-    """Atomic-file JSON backend — the default local cache layout."""
-
-    def __init__(self, root: str | os.PathLike):
-        self.root = Path(root)
-
-    def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    def read(self, key: str) -> str | None:
-        try:
-            return self.path_for(key).read_text()
-        except OSError:
-            return None
-
-    def write(self, key: str, text: str) -> None:
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-                self._flush(fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def _flush(self, fh) -> None:  # SharedDirBackend adds fsync
-        pass
-
-    def delete(self, path: Path) -> bool:
-        try:
-            path.unlink()
-            return True
-        except OSError:  # pragma: no cover - racing deleter
-            return False
-
-    def entry_files(self) -> list[Path]:
-        if not self.root.is_dir():
-            return []
-        return sorted(self.root.glob("??/*.json"))
-
-    def stray_files(self) -> list[Path]:
-        if not self.root.is_dir():
-            return []
-        return sorted(self.root.glob("??/.*.tmp"))
-
-
-class SharedDirBackend(LocalDirBackend):
-    """Multi-process variant: write-once entries, fsynced, lock-free reads.
-
-    Designed for many pooled worker processes (or several campaign
-    runs) sharing one cache directory:
-
-    * **write-once** — if a parseable entry already claims the key,
-      the write is skipped instead of replacing the file, so two
-      workers that raced on the same shard never swap a file out from
-      under a concurrent reader (results are pure functions of the
-      key, so both texts are byte-identical anyway; corrupt leftovers
-      *are* replaced);
-    * **fsync on write** — an entry that a worker reported as cached
-      survives the host crashing right after, which is what the run
-      journal's zero-recompute resume accounting relies on.
-
-    Reads are the same lock-free single ``read_text`` as the local
-    backend; atomic ``os.replace`` guarantees a reader never observes
-    a half-written entry in either backend.
-    """
-
-    def write(self, key: str, text: str) -> None:
-        existing = self.read(key)
-        if existing is not None:
-            try:
-                entry = json.loads(existing)
-                if isinstance(entry, dict) and entry.get("key") == key:
-                    return  # first writer won; keep readers undisturbed
-            except json.JSONDecodeError:
-                pass  # corrupt: fall through and repair in place
-        super().write(key, text)
-
-    def _flush(self, fh) -> None:
-        fh.flush()
-        os.fsync(fh.fileno())
-
-
-#: Backend name -> factory taking the store root.  ``--store-backend``
-#: style knobs and :class:`ResultStore` both resolve through this, so a
-#: registered remote backend is immediately addressable everywhere.
-STORE_BACKENDS: dict[str, Callable[[str | os.PathLike], StoreBackend]] = {
-    "local": LocalDirBackend,
-    "shared": SharedDirBackend,
-}
-
-
-def register_store_backend(
-    name: str, factory: Callable[[str | os.PathLike], StoreBackend]
-) -> None:
-    """Add a store backend (e.g. a remote/object-store implementation)."""
-    STORE_BACKENDS[name] = factory
-
-
 @dataclass(frozen=True)
 class GcReport:
     """What one :meth:`ResultStore.gc` pass did (or would do)."""
@@ -242,27 +76,19 @@ class GcReport:
 class ResultStore:
     """Content-addressed JSON-on-disk cache of shard results."""
 
-    def __init__(
-        self,
-        root: str | os.PathLike = DEFAULT_CACHE_DIR,
-        backend: str | StoreBackend = "local",
-    ):
-        if isinstance(backend, str):
-            if backend not in STORE_BACKENDS:
-                raise KeyError(
-                    f"unknown store backend {backend!r}; "
-                    f"known: {sorted(STORE_BACKENDS)}"
-                )
-            backend = STORE_BACKENDS[backend](root)
-        self.backend = backend
+    def __init__(self, root: str | os.PathLike = DEFAULT_CACHE_DIR):
         self.root = Path(root)
 
     def path_for(self, key: str) -> Path:
-        return self.backend.path_for(key)
+        return self.root / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> dict | None:
         """Return the stored data payload, or None (missing/corrupt)."""
-        entry = self._parse_entry(self.backend.read(key), key)
+        try:
+            text: str | None = self.path_for(key).read_text()
+        except OSError:
+            text = None
+        entry = self._parse_entry(text, key)
         return None if entry is None else entry["data"]
 
     @staticmethod
@@ -283,9 +109,23 @@ class ResultStore:
         return entry
 
     def put(self, key: str, data: dict, meta: dict | None = None) -> None:
-        """Durably persist one shard result (atomicity per backend)."""
+        """Persist one shard result atomically (tempfile + rename)."""
         entry = {"key": key, "meta": meta or {}, "data": data}
-        self.backend.write(key, json.dumps(entry, sort_keys=True))
+        path = self.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(
+            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps(entry, sort_keys=True))
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
 
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None
@@ -301,11 +141,23 @@ class ResultStore:
         """
         return sorted(key for key, _path in self._valid_entries())
 
+    def entry_files(self) -> list[Path]:
+        """Every candidate entry file (``??/*.json``), sorted."""
+        if not self.root.is_dir():
+            return []
+        return sorted(self.root.glob("??/*.json"))
+
+    def stray_files(self) -> list[Path]:
+        """Leftover temp files from interrupted writes, sorted."""
+        if not self.root.is_dir():
+            return []
+        return sorted(self.root.glob("??/.*.tmp"))
+
     def _valid_entries(self) -> list[tuple[str, Path]]:
         out = []
-        for path in self.backend.entry_files():
+        for path in self.entry_files():
             key = path.stem
-            if path != self.backend.path_for(key):
+            if path != self.path_for(key):
                 continue
             try:
                 text: str | None = path.read_text()
@@ -324,19 +176,19 @@ class ResultStore:
         untouched, so a prune never costs recomputation.
         """
         removed: list[Path] = []
-        for path in self.backend.entry_files():
+        for path in self.entry_files():
             key = path.stem
             try:
                 text: str | None = path.read_text()
             except OSError:
                 text = None
-            if path != self.backend.path_for(key) or self._parse_entry(
+            if path != self.path_for(key) or self._parse_entry(
                 text, key
             ) is None:
                 removed.append(path)
-        removed.extend(self.backend.stray_files())
+        removed.extend(self.stray_files())
         for path in removed:
-            self.backend.delete(path)
+            _unlink(path)
         return sorted(removed)
 
     def gc(
@@ -393,7 +245,7 @@ class ResultStore:
                 doomed.append(victim)
         if not dry_run:
             for _key, path, _size, _mtime in doomed:
-                self.backend.delete(path)
+                _unlink(path)
         return GcReport(
             removed=sorted(key for key, _, _, _ in doomed),
             freed_bytes=sum(size for _, _, size, _ in doomed),
@@ -404,3 +256,10 @@ class ResultStore:
 
     def __len__(self) -> int:
         return len(self.keys())
+
+
+def _unlink(path: Path) -> None:
+    try:
+        path.unlink()
+    except OSError:  # pragma: no cover - racing deleter
+        pass

@@ -61,7 +61,7 @@ def format_size(n: int) -> str:
 
 
 def _entry_bytes(store: ResultStore) -> int:
-    return sum(path.stat().st_size for path in store.backend.entry_files())
+    return sum(path.stat().st_size for path in store.entry_files())
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
@@ -69,7 +69,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
     keys = store.keys()
     print(f"store: {store.root}")
     print(f"entries: {len(keys)} ({format_size(_entry_bytes(store))})")
-    stray = store.backend.stray_files()
+    stray = store.stray_files()
     if stray:
         print(f"stray files: {len(stray)} (clean with `repro store prune`)")
     runs = list_runs(store.root)

@@ -1,14 +1,10 @@
 """Synchronous anonymous-agent simulator (model of Section 1)."""
 
-from repro.sim.async_adversary import (
-    AsyncOutcome,
-    eager_adversary_run,
-    mirror_adversary_run,
-)
 from repro.sim.actions import Action, Move, Perception, Wait, WaitBlock
 from repro.sim.batch import PortTrace, TraceCompiler, run_rendezvous_batch
 from repro.sim.schedule_adversary import (
     ActivationSchedule,
+    AsyncOutcome,
     EagerSchedule,
     FixedDelaySchedule,
     MirrorSchedule,
@@ -54,8 +50,6 @@ __all__ = [
     "AgentTrace",
     "TraceEntry",
     "AsyncOutcome",
-    "mirror_adversary_run",
-    "eager_adversary_run",
     "ActivationSchedule",
     "MirrorSchedule",
     "EagerSchedule",

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.exec.backend import ArrayBackend
 from repro.exec.deepen import resolve_adaptive
 from repro.exec.meeting import (
     PENDING as _PENDING,
@@ -78,40 +77,6 @@ __all__ = ["PortTrace", "TraceCompiler", "run_rendezvous_batch"]
 _solve_meeting = solve_sync_meeting
 
 
-def _try_solve(
-    u: int,
-    v: int,
-    delta: int,
-    max_rounds: int,
-    trace_u: PortTrace,
-    trace_v: PortTrace,
-    raise_on_limit: bool,
-    backend: ArrayBackend | None = None,
-):  # RendezvousResult, or the _PENDING sentinel
-    """Resolve one STIC from (possibly truncated) traces, routing the
-    meeting solver through the module-level :data:`_solve_meeting`."""
-    if backend is None:
-        solver = _solve_meeting
-    else:
-        # The seam's solver signature is fixed at four arguments (the
-        # mutation tests substitute plain ``(a, b, delta, limit)``
-        # functions), so a plugged backend is bound here instead.
-        def solver(a, b, d, lim):  # pragma: no branch
-            return _solve_meeting(a, b, d, lim, backend)
-
-    return resolve_sync_cell(
-        u,
-        v,
-        delta,
-        max_rounds,
-        trace_u,
-        trace_v,
-        raise_on_limit,
-        backend=backend,
-        solver=solver,
-    )
-
-
 def run_rendezvous_batch(
     graph: PortLabeledGraph,
     stics: Iterable,
@@ -122,7 +87,6 @@ def run_rendezvous_batch(
     raise_on_limit: bool = False,
     compiler: TraceCompiler | None = None,
     initial_horizon: int = 1024,
-    backend: ArrayBackend | None = None,
 ) -> list[RendezvousResult]:
     """Simulate one deterministic ``algorithm`` over many STICs at once.
 
@@ -144,9 +108,6 @@ def run_rendezvous_batch(
     initial_horizon:
         First compile depth; quadrupled until every STIC is decided
         (meetings far below the budget never pay for the full horizon).
-    backend:
-        Array backend for compiled traces (default: the process-wide
-        numpy backend; see :mod:`repro.exec.backend`).
 
     Returns one result per STIC, in input order, with ``met`` /
     ``meeting_node`` / ``meeting_time`` / ``time_from_later`` /
@@ -168,9 +129,7 @@ def run_rendezvous_batch(
             raise ValueError("max_rounds must be non-negative")
         budgets.append(int(m))
     if compiler is None:
-        compiler = TraceCompiler(
-            graph, algorithm, oracle_factory=oracle_factory, backend=backend
-        )
+        compiler = TraceCompiler(graph, algorithm, oracle_factory=oracle_factory)
 
     # Local-clock horizons each trace must eventually reach.
     need: dict[int, int] = {}
@@ -213,7 +172,7 @@ def run_rendezvous_batch(
                     traces=None,
                 )
                 continue
-            outcome = _try_solve(
+            outcome = resolve_sync_cell(
                 u,
                 v,
                 delta,
@@ -221,7 +180,7 @@ def run_rendezvous_batch(
                 traces[u],
                 traces[v],
                 raise_on_limit,
-                backend=backend,
+                solver=_solve_meeting,
             )
             if outcome is not _PENDING:
                 decided[i] = outcome

@@ -49,7 +49,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.exec.backend import ArrayBackend
 from repro.exec.deepen import resolve_adaptive
 from repro.exec.meeting import (
     PENDING as _PENDING,
@@ -138,10 +137,20 @@ class ActivationSchedule:
 class MirrorSchedule(ActivationSchedule):
     """Lockstep: both agents traverse at every event.
 
-    The symmetry-preserving adversary — from symmetric starts both
-    agents receive identical perception streams forever, so no
-    deterministic algorithm achieves a node meeting (the paper's
-    Section 5 impossibility remark, executable)."""
+    The symmetry-preserving adversary, and the executable form of the
+    paper's Section 5 remark: "In the asynchronous version of our
+    problem, time cannot be used to break symmetry, as the speed of
+    the agents and the delay between them is controlled by the
+    adversary.  Hence in the asynchronous scenario, only space can be
+    used to break symmetry between anonymous agents."
+
+    The adversary owns the clock, so it nullifies waits and advances
+    both agents in perfect lockstep.  From symmetric starts both agents
+    then receive identical perception streams forever, so no
+    deterministic algorithm (including every delay-exploiting
+    algorithm of this library) achieves a node meeting.  Edge
+    crossings still happen; the asynchronous literature ([31] etc.)
+    relaxes rendezvous to edge meetings for exactly this reason."""
 
     name = "mirror"
 
@@ -427,7 +436,6 @@ def run_schedule_sweep(
     compiler: TraceCompiler | None = None,
     fuel: int = 1 << 16,
     initial_horizon: int = 1024,
-    backend: ArrayBackend | None = None,
 ) -> list[AsyncOutcome]:
     """Run one deterministic ``algorithm`` over a (pair × schedule) grid.
 
@@ -449,9 +457,6 @@ def run_schedule_sweep(
         run is declared move-starved (mirrors the scalar engine's
         per-pull fuel limit; measured in *actions*, so arbitrarily long
         ``WaitBlock`` paddings never trip it).
-    backend:
-        Array backend for compiled traces and cell resolution (default:
-        the process-wide numpy backend; see :mod:`repro.exec.backend`).
 
     Returns one :class:`AsyncOutcome` per cell, in input order,
     bit-identical to :func:`run_schedule_adversary` (at matching
@@ -482,7 +487,7 @@ def run_schedule_sweep(
             raise ValueError("max_events must be non-negative")
         budgets.append(int(m))
     if compiler is None:
-        compiler = TraceCompiler(graph, algorithm, backend=backend)
+        compiler = TraceCompiler(graph, algorithm)
 
     # Cumulative activation counts, one per distinct (schedule, budget).
     cums: dict[tuple[int, int], np.ndarray] = {}
@@ -542,7 +547,6 @@ def run_schedule_sweep(
                 budgets[i],
                 traces[u],
                 traces[v],
-                backend=backend,
             )
             if outcome is not _PENDING:
                 decided[i] = outcome

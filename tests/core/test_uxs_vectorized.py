@@ -32,7 +32,7 @@ from repro.core.uxs import (
     uxs_for_size,
     uxs_length,
 )
-from repro.core.uxs_engine import (
+from repro.exec.uxs import (
     apply_uxs_all,
     covered_counts,
     generate_offset_stream,

@@ -3,9 +3,8 @@ frozen pre-refactor engine (and the retained scalar walk).
 
 Every seeded (graph, offset stream) instance must produce bit-identical
 arrays — the all-starts walk matrix, the per-start coverage counts,
-and the certification verdict — between :mod:`repro.exec.uxs` (the
-engine behind ``repro.core.uxs_engine``) and the pre-refactor kernels
-preserved in ``benchmarks/_legacy_engines.py``, as well as the scalar
+and the certification verdict — between :mod:`repro.exec.uxs` and
+the pre-refactor kernels preserved in ``benchmarks/_legacy_engines.py``, as well as the scalar
 :func:`repro.core.uxs.apply_uxs` walk.
 """
 

@@ -18,7 +18,7 @@ import pathlib
 import pytest
 
 from repro.experiments.orchestrator import run_experiment
-from repro.experiments.store import canonical_json
+from repro.util.encoding import canonical_json
 
 GOLDEN_DIR = pathlib.Path(__file__).parents[1] / "experiments" / "golden"
 

@@ -1,10 +1,10 @@
 """Work-queue core: leases, retry, quarantine, and the run journal.
 
 These are the unit-level guarantees under the kill/resume integration
-test (test_resume.py): leases expire on deadline or dead heartbeat and
-count against the retry budget; retry exhaustion quarantines the shard
-with a replayable JSON artifact instead of failing the run; stale
-leases cannot corrupt the ledger; and journal replay survives exactly
+test (test_resume.py): leases expire on deadline and count against
+the retry budget; retry exhaustion quarantines the shard with a
+replayable JSON artifact instead of failing the run; stale leases
+cannot corrupt the ledger; and journal replay survives exactly
 the corruption a SIGKILL can produce (a truncated final line).
 """
 
@@ -122,42 +122,6 @@ class TestLeaseDiscipline:
         assert artifact is not None and artifact.is_file()
         # And a late result from the expired lease is a no-op.
         assert queue.complete(lease2.task) is False
-
-    def test_heartbeat_expiry_detects_dead_worker(self, tmp_path):
-        clock = FakeClock()
-        task = _task()
-        queue = WorkQueue(
-            [task],
-            policy=QueuePolicy(max_retries=0, heartbeat_timeout=3.0),
-            run_dir=tmp_path,
-            clock=clock,
-        )
-        lease = queue.lease()
-        assert lease.heartbeat_path is not None
-        lease.heartbeat_path.touch()  # worker came up and beat once
-        clock.now += 2.0
-        assert queue.expire_stale_leases() == []  # beat observed at +2
-        clock.now += 2.5
-        assert queue.expire_stale_leases() == []  # mtime unchanged, 2.5 < 3
-        clock.now += 1.0
-        assert queue.expire_stale_leases() == [lease]  # silent for 3.5s
-        assert queue.state_of(task)[0] == QUARANTINED
-        [(_, error, _)] = queue.quarantined()
-        assert "heartbeat" in error
-
-    def test_heartbeat_advancing_keeps_lease_alive(self, tmp_path):
-        clock = FakeClock()
-        queue = WorkQueue(
-            [_task()],
-            policy=QueuePolicy(max_retries=0, heartbeat_timeout=3.0),
-            run_dir=tmp_path,
-            clock=clock,
-        )
-        lease = queue.lease()
-        for step in range(4):
-            lease.heartbeat_path.write_text(str(step))  # mtime advances
-            clock.now += 2.9
-            assert queue.expire_stale_leases() == []
 
 
 class TestQuarantineArtifacts:

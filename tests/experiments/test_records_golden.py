@@ -9,7 +9,8 @@ serialization.
 """
 
 from repro.experiments.records import ExperimentRecord, render_table
-from repro.experiments.store import ResultStore, json_roundtrip
+from repro.experiments.store import ResultStore
+from repro.util.encoding import json_roundtrip
 
 
 def _sample_record() -> ExperimentRecord:

@@ -1,25 +1,14 @@
-"""Pluggable store backends and bounded GC.
+"""Bounded store GC and the ``repro store`` CLI.
 
-The backend seam (``StoreBackend`` protocol) must not change entry
-semantics: the same key maps to the same path and the same canonical
-bytes under every backend.  ``SharedDirBackend`` adds process-safe
-write-once behaviour; ``gc`` evicts LRU by mtime under explicit
-bounds and never runs implicitly.
+``gc`` evicts LRU by mtime under explicit bounds and never runs
+implicitly.
 """
 
-import json
 import os
 
 import pytest
 
-from repro.experiments.store import (
-    STORE_BACKENDS,
-    LocalDirBackend,
-    ResultStore,
-    SharedDirBackend,
-    StoreBackend,
-    register_store_backend,
-)
+from repro.experiments.store import ResultStore
 from repro.experiments.store_cli import main as store_cli_main
 from repro.experiments.store_cli import parse_size
 
@@ -31,63 +20,6 @@ def _fill(store: ResultStore, count: int) -> list[str]:
         store.put(key, {"value": i})
         keys.append(key)
     return keys
-
-
-class TestBackendSeam:
-    def test_backends_are_protocol_instances(self):
-        for cls in STORE_BACKENDS.values():
-            assert isinstance(cls("/tmp/x"), StoreBackend)
-
-    def test_registry_and_name_resolution(self, tmp_path):
-        store = ResultStore(tmp_path, backend="shared")
-        assert isinstance(store.backend, SharedDirBackend)
-        with pytest.raises(KeyError, match="unknown store backend"):
-            ResultStore(tmp_path, backend="s3")
-
-    def test_register_custom_backend(self, tmp_path):
-        class TracingBackend(LocalDirBackend):
-            writes = 0
-
-            def write(self, key, text):
-                TracingBackend.writes += 1
-                super().write(key, text)
-
-        register_store_backend("tracing-test", TracingBackend)
-        try:
-            store = ResultStore(tmp_path, backend="tracing-test")
-            _fill(store, 2)
-            assert TracingBackend.writes == 2
-        finally:
-            del STORE_BACKENDS["tracing-test"]
-
-    def test_backends_write_identical_bytes(self, tmp_path):
-        local = ResultStore(tmp_path / "local", backend="local")
-        shared = ResultStore(tmp_path / "shared", backend="shared")
-        [key_l] = _fill(local, 1)
-        [key_s] = _fill(shared, 1)
-        assert (
-            local.path_for(key_l).read_bytes()
-            == shared.path_for(key_s).read_bytes()
-        )
-        assert local.get(key_l) == shared.get(key_s) == {"value": 0}
-
-
-class TestSharedDirBackend:
-    def test_write_once_first_writer_wins(self, tmp_path):
-        store = ResultStore(tmp_path, backend="shared")
-        [key] = _fill(store, 1)
-        before = store.path_for(key).stat().st_mtime_ns
-        # A concurrent writer landing the same key is a no-op: the
-        # entry is a pure function of the key, so the bytes agree.
-        store.put(key, {"value": 0})
-        assert store.path_for(key).stat().st_mtime_ns == before
-
-    def test_corrupt_entry_is_overwritten_not_skipped(self, tmp_path):
-        store = ResultStore(tmp_path, backend="shared")
-        [key] = _fill(store, 1)
-        store.path_for(key).write_text("{truncated")
-        store.put(key, {"value": 0})
-        assert store.get(key) == {"value": 0}
 
 
 class TestGc:

@@ -1,4 +1,7 @@
-"""Tests for the asynchronous-adversary counterpoint (Section 5)."""
+"""Tests for the asynchronous-adversary counterpoint (Section 5): the
+lockstep :class:`MirrorSchedule` and the alternating
+:class:`EagerSchedule`, run through the scalar
+:func:`run_schedule_adversary`."""
 
 import pytest
 
@@ -11,8 +14,12 @@ from repro.graphs import (
     star_graph,
     two_node_graph,
 )
-from repro.sim import Move
-from repro.sim.async_adversary import eager_adversary_run, mirror_adversary_run
+from repro.sim import (
+    EagerSchedule,
+    MirrorSchedule,
+    Move,
+    run_schedule_adversary,
+)
 
 
 def move_forever(percept):
@@ -39,14 +46,16 @@ class TestMirrorAdversary:
     def test_symmetric_positions_never_meet(self, graph, u, v):
         # The very algorithm that wins synchronously with delay >= Shrink
         # is powerless when the adversary owns the clock.
-        out = mirror_adversary_run(
-            graph, u, v, faithful_universal(), max_events=3000
+        out = run_schedule_adversary(
+            graph, u, v, faithful_universal(), MirrorSchedule(), max_events=3000
         )
         assert not out.met
 
     def test_simple_mover_never_meets_but_crosses(self):
         g = two_node_graph()
-        out = mirror_adversary_run(g, 0, 1, move_forever, max_events=100)
+        out = run_schedule_adversary(
+            g, 0, 1, move_forever, MirrorSchedule(), max_events=100
+        )
         assert not out.met
         assert out.edge_meetings == 100  # they swap through the edge forever
 
@@ -64,7 +73,9 @@ class TestMirrorAdversary:
                 percept = yield Move(0)
 
         g = oriented_ring(6)
-        mirror_adversary_run(g, 0, 3, spy_algorithm, max_events=50)
+        run_schedule_adversary(
+            g, 0, 3, spy_algorithm, MirrorSchedule(), max_events=50
+        )
         assert seen[0] == seen[1]
 
 
@@ -75,14 +86,16 @@ class TestEagerAdversary:
         ids=["P3", "star"],
     )
     def test_nonsymmetric_positions_meet(self, graph, u, v):
-        out = eager_adversary_run(
-            graph, u, v, faithful_universal(), max_events=500_000
+        out = run_schedule_adversary(
+            graph, u, v, faithful_universal(), EagerSchedule(), max_events=500_000
         )
         assert out.met
 
     def test_meeting_detected_at_start(self):
         g = path_graph(3)
-        out = eager_adversary_run(g, 1, 1, move_forever, max_events=10)
+        out = run_schedule_adversary(
+            g, 1, 1, move_forever, EagerSchedule(), max_events=10
+        )
         assert out.met and out.events == 0
 
 
@@ -98,7 +111,7 @@ class TestModelMechanics:
 
         g = two_node_graph()
         with pytest.raises(RuntimeError, match="fuel"):
-            mirror_adversary_run(g, 0, 1, waiter, max_events=5)
+            run_schedule_adversary(g, 0, 1, waiter, MirrorSchedule(), max_events=5)
 
     def test_invalid_move_rejected(self):
         def bad(percept):
@@ -106,4 +119,6 @@ class TestModelMechanics:
                 percept = yield Move(7)
 
         with pytest.raises(ValueError):
-            mirror_adversary_run(two_node_graph(), 0, 1, bad, max_events=5)
+            run_schedule_adversary(
+                two_node_graph(), 0, 1, bad, MirrorSchedule(), max_events=5
+            )

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import repro.util.lcg
 from repro.campaigns.driver import cell_seed, make_shards
 from repro.campaigns.registry import CAMPAIGNS
-from repro.experiments.store import canonical_json
+from repro.util.encoding import canonical_json
 from repro.util.lcg import derive_seed
 
 
