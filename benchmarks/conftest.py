@@ -1,7 +1,8 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one of the paper's artifacts (see
-DESIGN.md §3) and prints the regenerated table after timing, so
+docs/orchestration.md for the experiment index) and prints the
+regenerated table after timing, so
 ``pytest benchmarks/ --benchmark-only -s`` reproduces the full
 evaluation in one command.
 
@@ -49,9 +50,9 @@ def emit(record) -> None:
 
 
 @pytest.fixture(scope="session")
-def fast_mode() -> bool:
-    """Benchmarks default to the fast sweeps; set REPRO_FULL=1 for the
+def tier() -> str:
+    """Benchmarks default to the fast tier; set REPRO_FULL=1 for the
     full (slow) parameter ranges."""
     import os
 
-    return os.environ.get("REPRO_FULL", "") != "1"
+    return "full" if os.environ.get("REPRO_FULL", "") == "1" else "fast"

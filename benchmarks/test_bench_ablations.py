@@ -63,7 +63,7 @@ def test_ablate_view_mode(benchmark, view_mode):
     assert result.met
 
 
-def test_ablation_bound_table(fast_mode):
+def test_ablation_bound_table():
     """Print the P(n) decomposition per knob setting — the *why* behind
     the tuned defaults."""
     record = ExperimentRecord(

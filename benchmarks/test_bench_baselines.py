@@ -7,12 +7,12 @@ from repro.baselines.random_walk import mean_meeting_time
 from repro.baselines.wait_for_mommy import wait_for_mommy
 from repro.core.profile import TUNED
 from repro.core.universal import rendezvous
-from repro.experiments import e_baselines
+from repro.experiments.orchestrator import run_experiment
 from repro.graphs.families import oriented_torus, torus_node
 
 
-def test_baselines_table(benchmark, fast_mode):
-    record = benchmark(e_baselines.run, fast_mode)
+def test_baselines_table(benchmark, tier):
+    record = benchmark(lambda: run_experiment("EXP-BASE/LE", tier=tier).record)
     emit(record)
     assert record.passed
 

@@ -5,12 +5,12 @@ from conftest import emit
 
 from repro.core.profile import TUNED
 from repro.core.universal import rendezvous
-from repro.experiments import e_infeasible
+from repro.experiments.orchestrator import run_experiment
 from repro.graphs.families import oriented_ring
 
 
-def test_infeasibility_table(benchmark, fast_mode):
-    record = benchmark(e_infeasible.run, fast_mode)
+def test_infeasibility_table(benchmark, tier):
+    record = benchmark(lambda: run_experiment("EXP-L31", tier=tier).record)
     emit(record)
     assert record.passed
 

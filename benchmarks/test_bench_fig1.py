@@ -6,13 +6,13 @@ reproduction relies on: building Q̂_h and refining its view classes.
 
 from conftest import emit
 
-from repro.experiments import e_fig1
+from repro.experiments.orchestrator import run_experiment
 from repro.hardness.qhat import build_qhat
 from repro.symmetry.views import view_classes
 
 
-def test_fig1_regeneration(benchmark, fast_mode):
-    record = benchmark(e_fig1.run, fast_mode)
+def test_fig1_regeneration(benchmark, tier):
+    record = benchmark(lambda: run_experiment("FIG1", tier=tier).record)
     emit(record)
     assert record.passed
 

@@ -4,13 +4,13 @@ symbolic Q_h simulations that make large heights reachable."""
 import pytest
 from conftest import emit
 
-from repro.experiments import e_hardness
+from repro.experiments.orchestrator import run_experiment
 from repro.hardness.lower_bound import worst_case_meeting_time
 from repro.hardness.qhat import build_qhat
 
 
-def test_hardness_table(benchmark, fast_mode):
-    record = benchmark(e_hardness.run, fast_mode)
+def test_hardness_table(benchmark, tier):
+    record = benchmark(lambda: run_experiment("EXP-T41", tier=tier).record)
     emit(record)
     assert record.passed
 

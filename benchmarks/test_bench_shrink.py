@@ -3,7 +3,7 @@ product-graph BFS on growing instances."""
 
 from conftest import emit
 
-from repro.experiments import e_shrink
+from repro.experiments.orchestrator import run_experiment
 from repro.graphs.families import (
     mirror_node,
     oriented_torus,
@@ -13,8 +13,8 @@ from repro.graphs.families import (
 from repro.symmetry.shrink import shrink
 
 
-def test_shrink_table(benchmark, fast_mode):
-    record = benchmark(e_shrink.run, fast_mode)
+def test_shrink_table(benchmark, tier):
+    record = benchmark(lambda: run_experiment("TAB-SHRINK", tier=tier).record)
     emit(record)
     assert record.passed
 

@@ -6,13 +6,13 @@ unavoidable."""
 import pytest
 from conftest import emit
 
-from repro.experiments import e_symm_rv
 from repro.experiments.e_symm_rv import dedicated_symm_rv
+from repro.experiments.orchestrator import run_experiment
 from repro.graphs.families import oriented_ring
 
 
-def test_symm_rv_table(benchmark, fast_mode):
-    record = benchmark(e_symm_rv.run, fast_mode)
+def test_symm_rv_table(benchmark, tier):
+    record = benchmark(lambda: run_experiment("EXP-L32", tier=tier).record)
     emit(record)
     assert record.passed
 
@@ -32,7 +32,7 @@ def test_symm_rv_cost_vs_d(benchmark, distance):
     assert result.met
 
 
-def test_symm_rv_growth_table(fast_mode):
+def test_symm_rv_growth_table(tier):
     """Print measured time and bound side by side for d = 1..4."""
     from repro.experiments.records import ExperimentRecord
 
@@ -42,7 +42,7 @@ def test_symm_rv_growth_table(fast_mode):
         paper_claim="T(n, d, delta) grows with (n-1)^d (Lemma 3.3)",
         columns=["d", "met", "time", "T bound"],
     )
-    d_max = 3 if fast_mode else 4
+    d_max = 3 if tier == "fast" else 4
     prev = None
     monotone = True
     for distance in range(1, d_max + 1):

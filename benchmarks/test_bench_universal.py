@@ -6,12 +6,12 @@ from conftest import emit
 
 from repro.core.profile import TUNED
 from repro.core.universal import rendezvous
-from repro.experiments import e_universal
+from repro.experiments.orchestrator import run_experiment
 from repro.graphs.families import oriented_ring, path_graph, two_node_graph
 
 
-def test_universal_table(benchmark, fast_mode):
-    record = benchmark(e_universal.run, fast_mode)
+def test_universal_table(benchmark, tier):
+    record = benchmark(lambda: run_experiment("EXP-T31/P41", tier=tier).record)
     emit(record)
     assert record.passed
 

@@ -14,10 +14,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 
 from repro.campaigns.checks import CheckResult, run_check
+from repro.experiments.store import write_atomic
 from repro.util.encoding import canonical_json
 
 __all__ = [
@@ -44,21 +44,8 @@ def artifact_name(artifact: dict) -> str:
 
 def write_artifact(artifact: dict, directory: str | os.PathLike) -> Path:
     """Atomically persist one artifact; returns its path."""
-    root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    path = root / artifact_name(artifact)
-    fd, tmp = tempfile.mkstemp(dir=root, prefix=".replay-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(artifact, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    path = Path(directory) / artifact_name(artifact)
+    write_atomic(path, json.dumps(artifact, indent=2, sort_keys=True) + "\n")
     return path
 
 

@@ -36,8 +36,8 @@ from repro.campaigns.artifacts import (
 from repro.campaigns.checks import CHECKS
 from repro.campaigns.registry import CAMPAIGNS, get_campaign
 from repro.experiments.journal import list_runs
-from repro.experiments.orchestrator import journal_status, run_suite
-from repro.experiments.queue import DEFAULT_MAX_RETRIES
+from repro.experiments.orchestrator import journal_status
+from repro.experiments.runner import add_run_options, run_with_options
 from repro.experiments.scenarios import TIERS
 from repro.experiments.store import DEFAULT_CACHE_DIR, ResultStore
 
@@ -71,22 +71,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    if args.resume is not None and args.no_cache:
-        print("--resume needs the journal; drop --no-cache", file=sys.stderr)
-        return 2
-    store = None if args.no_cache else ResultStore(args.cache_dir)
     started = time.perf_counter()
-    runs = run_suite(
-        specs,
-        tier=args.tier,
-        seed=args.seed,
-        jobs=args.jobs,
-        store=store,
-        max_retries=args.max_retries,
-        shard_timeout=args.shard_timeout,
-        run_id=args.resume or None,
-        resume=args.resume is not None,
-    )
+    try:
+        runs = run_with_options(args, specs, tier=args.tier, seed=args.seed)
+    except argparse.ArgumentTypeError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     elapsed = time.perf_counter() - started
     failures = 0
     for run in runs:
@@ -212,41 +202,14 @@ def main(argv: list[str] | None = None) -> int:
         help="scale tier (default smoke)",
     )
     run_parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for cell execution (default 1 = serial)",
-    )
-    run_parser.add_argument(
         "--seed", type=int, default=None,
         help="override the campaign base seed (new grid, fresh cache keys)",
-    )
-    run_parser.add_argument(
-        "--cache-dir", metavar="PATH", default=DEFAULT_CACHE_DIR,
-        help=f"result-store location (default {DEFAULT_CACHE_DIR})",
-    )
-    run_parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the result store (recompute every cell)",
     )
     run_parser.add_argument(
         "--artifacts", metavar="DIR", default=DEFAULT_ARTIFACT_DIR,
         help=f"replay-artifact directory (default {DEFAULT_ARTIFACT_DIR})",
     )
-    run_parser.add_argument(
-        "--resume", nargs="?", const="", default=None, metavar="RUN_ID",
-        help="re-attach to a journaled run (default: the run id this "
-        "same invocation derives) and recompute nothing it completed",
-    )
-    run_parser.add_argument(
-        "--max-retries", type=int, default=DEFAULT_MAX_RETRIES, metavar="N",
-        help="re-lease a failing cell N times before quarantining it "
-        f"(default {DEFAULT_MAX_RETRIES})",
-    )
-    run_parser.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="SECONDS",
-        help="with --jobs >= 2, expire a cell lease after SECONDS and "
-        "re-lease it; the expired worker is not killed, so a hung cell "
-        "still blocks the run (default: no deadline)",
-    )
+    add_run_options(run_parser)
     run_parser.set_defaults(func=_cmd_run)
 
     list_parser = sub.add_parser(
@@ -271,8 +234,6 @@ def main(argv: list[str] | None = None) -> int:
     replay_parser.set_defaults(func=_cmd_replay)
 
     args = parser.parse_args(argv)
-    if args.command == "run" and args.jobs < 1:
-        run_parser.error("--jobs must be >= 1")
     return args.func(args)
 
 

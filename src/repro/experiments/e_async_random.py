@@ -301,9 +301,3 @@ def merge(config: RunConfig, shard_results: list[dict]) -> ExperimentRecord:
         f"meet in ~n^{order:.1f} expected rounds (seed={config.seed})"
     )
     return record
-
-
-def run(fast: bool = True, *, seed: int = DEFAULT_SEED) -> ExperimentRecord:
-    """Legacy serial entry point (``fast`` maps onto the tier ladder)."""
-    config = SCENARIO.config("fast" if fast else "full", seed=seed)
-    return merge(config, [run_shard(config, s) for s in make_shards(config)])

@@ -193,9 +193,3 @@ def merge(config: RunConfig, shard_results: list[dict]) -> ExperimentRecord:
         "hypercubes, collapsing to 1 on mirror trees and cliques"
     )
     return record
-
-
-def run(fast: bool = True) -> ExperimentRecord:
-    """Legacy serial entry point (``fast`` maps onto the tier ladder)."""
-    config = SCENARIO.config("fast" if fast else "full")
-    return merge(config, [run_shard(config, s) for s in make_shards(config)])

@@ -155,9 +155,6 @@ class RunState:
     #: True when the final line was truncated (dropped during replay).
     truncated_tail: bool = False
 
-    def keys_with(self, status: str) -> list[str]:
-        return sorted(k for k, s in self.status.items() if s == status)
-
     def counts(self) -> dict[str, int]:
         planned = sum(len(ks) for ks in self.planned.values())
         completed = sum(1 for s in self.status.values() if s == "completed")

@@ -36,9 +36,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 from repro.experiments.journal import (
     JOURNAL_NAME,
+    JOURNAL_VERSION,
     RunJournal,
     RunState,
     derive_run_id,
@@ -47,6 +49,7 @@ from repro.experiments.journal import (
 )
 from repro.experiments.queue import (
     DEFAULT_MAX_RETRIES,
+    QUARANTINED,
     QueuePolicy,
     ShardTask,
     WorkQueue,
@@ -282,7 +285,6 @@ def run_suite(
     store: ResultStore | None = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
     shard_timeout: float | None = None,
-    policy: QueuePolicy | None = None,
     run_id: str | None = None,
     resume: bool = False,
 ) -> list[ExperimentRun]:
@@ -301,16 +303,13 @@ def run_suite(
     the same journal).  ``resume=True`` re-attaches to that journal:
     completed shards are served from the store (zero recomputation),
     previously quarantined shards stay quarantined, and only the rest
-    execute.  ``max_retries``/``shard_timeout`` (or a full
-    :class:`QueuePolicy`) tune the lease discipline.
+    execute.  ``max_retries``/``shard_timeout`` tune the lease
+    discipline (see :class:`QueuePolicy`).
     """
     plans = [
         _make_plan(spec, tier=tier, seed=seed, store=store)
         for spec in resolve_specs(ids)
     ]
-    queue_policy = policy or QueuePolicy(
-        max_retries=max_retries, shard_timeout=shard_timeout
-    )
 
     rid: str | None = None
     journal: RunJournal | None = None
@@ -331,7 +330,9 @@ def run_suite(
             plans,
             jobs=jobs,
             store=store,
-            policy=queue_policy,
+            queue_policy=QueuePolicy(
+                max_retries=max_retries, shard_timeout=shard_timeout
+            ),
             rid=rid,
             rdir=rdir,
             journal=journal,
@@ -347,7 +348,7 @@ def _run_planned(
     *,
     jobs: int,
     store: ResultStore | None,
-    policy: QueuePolicy,
+    queue_policy: QueuePolicy,
     rid: str | None,
     rdir: Path | None,
     journal: RunJournal | None,
@@ -359,7 +360,7 @@ def _run_planned(
                 {
                     "event": "plan",
                     "run_id": rid,
-                    "version": 1,
+                    "version": JOURNAL_VERSION,
                     "tier": plans[0].config.tier if plans else "",
                     "seed": plans[0].config.seed if plans else None,
                     "experiments": [
@@ -374,7 +375,6 @@ def _run_planned(
     # Journal cache hits the journal has not seen complete yet, so a
     # resumed/warm run's ledger still accounts for every shard.
     tasks: list[ShardTask] = []
-    pre_quarantined: list[tuple[ShardTask, str, str | None]] = []
     for p, plan in enumerate(plans):
         for s, payload in enumerate(plan.data):
             key = plan.keys[s]
@@ -386,31 +386,28 @@ def _run_planned(
                         {"event": "complete", "key": key, "cached": True}
                     )
                 continue
-            task = ShardTask(
-                plan=p,
-                index=s,
-                module=plan.spec.module,
-                config=plan.config.to_json_dict(),
-                shard=plan.shards[s],
-                key=key,
-            )
-            if prior is not None and prior.status.get(key) == "quarantined":
-                pre_quarantined.append(
-                    (
-                        task,
-                        prior.errors.get(key, "quarantined in prior run"),
-                        prior.artifacts.get(key),
-                    )
+            tasks.append(
+                ShardTask(
+                    plan=p,
+                    index=s,
+                    module=plan.spec.module,
+                    config=plan.config.to_json_dict(),
+                    shard=plan.shards[s],
+                    key=key,
                 )
-            else:
-                tasks.append(task)
+            )
 
     queue = WorkQueue(
-        tasks,
-        policy=policy,
-        journal=journal,
-        run_dir=rdir,
+        tasks, policy=queue_policy, journal=journal, run_dir=rdir
     )
+    if prior is not None:
+        for task in tasks:
+            if prior.status.get(task.key) == QUARANTINED:
+                queue.mark_quarantined(
+                    task,
+                    error=prior.errors.get(task.key, "quarantined in prior run"),
+                    attempts=prior.attempts.get(task.key, 0),
+                )
     durations: list[list[float]] = [[-1.0] * len(plan.shards) for plan in plans]
 
     def on_result(task: ShardTask, result: dict, seconds: float) -> None:
@@ -456,31 +453,6 @@ def _run_planned(
             error=error,
             artifact=str(artifact) if artifact is not None else None,
         )
-    for task, error, artifact in pre_quarantined:
-        quarantine[task.plan][task.index] = ShardOutcome(
-            index=task.index,
-            shard=task.shard,
-            key=task.key,
-            cached=False,
-            seconds=0.0,
-            result=None,
-            quarantined=True,
-            attempts=0,
-            error=error,
-            artifact=artifact,
-        )
-        if journal is not None:
-            # Re-record so a journal replay of *this* invocation still
-            # shows the shard quarantined.
-            journal.append(
-                {
-                    "event": "quarantine",
-                    "key": task.key,
-                    "attempts": 0,
-                    "error": error,
-                    "artifact": artifact,
-                }
-            )
 
     return [
         _finish_plan(plan, durations[p], quarantine[p], rid)
@@ -488,31 +460,9 @@ def _run_planned(
     ]
 
 
-def run_experiment(
-    spec_or_id: str | ScenarioSpec,
-    *,
-    tier: str = "fast",
-    seed: int | None = None,
-    jobs: int = 1,
-    store: ResultStore | None = None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    shard_timeout: float | None = None,
-    run_id: str | None = None,
-    resume: bool = False,
-) -> ExperimentRun:
-    """Run one experiment through the work-queue pipeline."""
-    (run,) = run_suite(
-        [spec_or_id],
-        tier=tier,
-        seed=seed,
-        jobs=jobs,
-        store=store,
-        max_retries=max_retries,
-        shard_timeout=shard_timeout,
-        run_id=run_id,
-        resume=resume,
-    )
-    return run
+def run_experiment(spec_or_id: str | ScenarioSpec, **options: Any) -> ExperimentRun:
+    """Run one experiment; ``options`` are :func:`run_suite`'s keywords."""
+    return run_suite([spec_or_id], **options)[0]
 
 
 def shard_status(

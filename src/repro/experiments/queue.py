@@ -11,7 +11,9 @@ fire-and-forget futures:
   and the shard re-leased** rather than lost with the run; the expired
   worker is not killed, so a shard that hangs forever still holds its
   pool slot and blocks the run.  A worker that *crashes* breaks the
-  pool, and its shard is failed and re-leased on a fresh pool;
+  pool and loses every in-flight shard; each lost shard is re-run
+  alone on a fresh worker, so only the shard that crashes there too
+  is charged a failed attempt;
 * failures are retried up to ``QueuePolicy.max_retries`` extra
   attempts; a shard that fails deterministically every time is
   **quarantined** — recorded in the run journal and written out as a
@@ -39,7 +41,6 @@ from __future__ import annotations
 import importlib
 import json
 import os
-import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -47,8 +48,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from repro.experiments.journal import RunJournal
+from repro.experiments.journal import QUARANTINE_DIR, RunJournal
 from repro.experiments.scenarios import RunConfig
+from repro.experiments.store import write_atomic
 from repro.util.encoding import canonical_json
 
 __all__ = [
@@ -77,6 +79,10 @@ QUARANTINED = "quarantined"
 #: Default extra attempts after the first failure; one retry separates
 #: "worker died / transient" from "this shard is poison".
 DEFAULT_MAX_RETRIES = 1
+
+#: Seconds the pooled loop waits for a result before re-checking
+#: lease deadlines.
+POLL_INTERVAL = 0.1
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,6 @@ class QueuePolicy:
 
     max_retries: int = DEFAULT_MAX_RETRIES
     shard_timeout: float | None = None
-    poll_interval: float = 0.1
 
 
 @dataclass
@@ -172,16 +177,6 @@ class WorkQueue:
             out[state.status] += 1
         return out
 
-    @property
-    def done(self) -> bool:
-        return all(
-            s.status in (COMPLETED, QUARANTINED) for s in self._states.values()
-        )
-
-    @property
-    def has_pending(self) -> bool:
-        return any(s.status == PENDING for s in self._states.values())
-
     def state_of(self, task: ShardTask) -> tuple[str, int]:
         state = self._states[task.uid]
         return state.status, state.attempts
@@ -197,13 +192,21 @@ class WorkQueue:
     # -- lifecycle -----------------------------------------------------
 
     def mark_quarantined(
-        self, task: ShardTask, *, error: str, artifact: Path | None = None
+        self, task: ShardTask, *, error: str, attempts: int
     ) -> None:
-        """Pre-quarantine a task (resume honoring a prior run's verdict)."""
+        """Pre-quarantine a task (resume honoring a prior run's verdict).
+
+        The prior attempt count and error carry over, the artifact is
+        the one the prior run wrote, and the verdict is journaled again
+        so a replay of this invocation still shows the shard
+        quarantined.
+        """
         state = self._states[task.uid]
         state.status = QUARANTINED
+        state.attempts = attempts
         state.error = error
-        state.artifact = artifact
+        state.artifact = self._artifact_path(task)
+        self._journal_quarantine(state)
 
     def lease(self) -> Lease | None:
         """Issue a lease over the first pending task, in plan order."""
@@ -260,15 +263,7 @@ class WorkQueue:
         if state.attempts > self.policy.max_retries:
             state.status = QUARANTINED
             state.artifact = self._write_quarantine(state)
-            self._journal(
-                {
-                    "event": "quarantine",
-                    "key": state.task.key,
-                    "attempts": state.attempts,
-                    "error": error,
-                    "artifact": state.artifact.name if state.artifact else None,
-                }
-            )
+            self._journal_quarantine(state)
             return QUARANTINED
         state.status = PENDING
         self._journal(
@@ -306,12 +301,15 @@ class WorkQueue:
 
     # -- quarantine artifacts -----------------------------------------
 
-    def _write_quarantine(self, state: _TaskState) -> Path | None:
+    def _artifact_path(self, task: ShardTask) -> Path | None:
         if self.run_dir is None:
             return None
-        qdir = self.run_dir / "quarantine"
-        qdir.mkdir(parents=True, exist_ok=True)
-        path = qdir / quarantine_artifact_name(state.task)
+        return self.run_dir / QUARANTINE_DIR / quarantine_artifact_name(task)
+
+    def _write_quarantine(self, state: _TaskState) -> Path | None:
+        path = self._artifact_path(state.task)
+        if path is None:
+            return None
         artifact = {
             "kind": "quarantined-shard",
             "exp_id": state.task.config.get("exp_id"),
@@ -324,18 +322,19 @@ class WorkQueue:
             "attempts": state.attempts,
             "error": state.error,
         }
-        fd, tmp = tempfile.mkstemp(dir=qdir, prefix=".shard-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(canonical_json(artifact) + "\n")
-            os.replace(tmp, path)
-        except BaseException:  # pragma: no cover - disk full etc.
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, canonical_json(artifact) + "\n")
         return path
+
+    def _journal_quarantine(self, state: _TaskState) -> None:
+        self._journal(
+            {
+                "event": "quarantine",
+                "key": state.task.key,
+                "attempts": state.attempts,
+                "error": state.error,
+                "artifact": state.artifact.name if state.artifact else None,
+            }
+        )
 
     def _journal(self, event: dict) -> None:
         if self.journal is not None:
@@ -408,8 +407,9 @@ def run_queue(
     wins) in completion order; merge determinism comes from the plan,
     not from this callback's ordering.  With ``jobs <= 1`` shards run
     in-process and leases never expire; with ``jobs > 1`` a worker pool
-    executes leases, is rebuilt if a worker crash breaks it, and leases
-    past their deadline are re-issued.  An expired lease's worker is
+    executes leases, leases past their deadline are re-issued, and a
+    worker crash that breaks the pool is charged only to the shard
+    that crashes again when re-run alone.  An expired lease's worker is
     not killed: it keeps its pool slot until its shard returns.
     """
     if jobs <= 1:
@@ -437,6 +437,30 @@ def _run_serial(
             on_result(task, result, seconds)
 
 
+def _submit(pool: ProcessPoolExecutor, lease: Lease) -> Future:
+    task = lease.task
+    return pool.submit(execute_shard_task, task.module, task.config, task.shard)
+
+
+def _settle(
+    queue: WorkQueue,
+    lease: Lease,
+    future: Future,
+    on_result: Callable[[ShardTask, dict, float], None],
+) -> bool:
+    """Apply one finished future to the queue; True if its pool broke."""
+    try:
+        result, seconds = future.result()
+    except BrokenProcessPool:
+        return True
+    except Exception as exc:
+        queue.fail(lease, f"{type(exc).__name__}: {exc}")
+    else:
+        if queue.complete(lease.task):
+            on_result(lease.task, result, seconds)
+    return False
+
+
 def _run_pooled(
     queue: WorkQueue,
     jobs: int,
@@ -454,42 +478,30 @@ def _run_pooled(
                 lease = queue.lease()
                 if lease is None:
                     break
-                future = pool.submit(
-                    execute_shard_task,
-                    lease.task.module,
-                    lease.task.config,
-                    lease.task.shard,
-                )
-                in_flight[future] = lease
+                in_flight[_submit(pool, lease)] = lease
             if not in_flight:
                 return
             done, _ = wait(
-                in_flight,
-                timeout=queue.policy.poll_interval,
-                return_when=FIRST_COMPLETED,
+                in_flight, timeout=POLL_INTERVAL, return_when=FIRST_COMPLETED
             )
-            broken = False
+            broken = []
             for future in done:
                 lease = in_flight.pop(future)
-                try:
-                    result, seconds = future.result()
-                except BrokenProcessPool:
-                    queue.fail(lease, "worker process died (pool broke)")
-                    broken = True
-                except Exception as exc:
-                    queue.fail(lease, f"{type(exc).__name__}: {exc}")
-                else:
-                    if queue.complete(lease.task):
-                        on_result(lease.task, result, seconds)
+                if _settle(queue, lease, future, on_result):
+                    broken.append(lease)
             if broken:
-                # Every in-flight future of a broken pool is lost:
-                # fail their leases (bounded, so a shard that *kills*
-                # its worker deterministically still quarantines) and
-                # start a fresh pool for the re-issued leases.
-                for future, lease in list(in_flight.items()):
-                    queue.fail(lease, "worker process died (pool broke)")
+                # A broken pool loses every in-flight future, so the
+                # crash cannot be pinned on one shard.  Re-run each lost
+                # lease alone on a fresh worker: a healthy neighbour
+                # completes uncharged, and a shard that kills its worker
+                # there too fails (bounded, so it still quarantines).
+                lost = broken + list(in_flight.values())
                 in_flight.clear()
                 pool.shutdown(wait=False, cancel_futures=True)
+                for lease in lost:
+                    with ProcessPoolExecutor(max_workers=1) as solo:
+                        if _settle(queue, lease, _submit(solo, lease), on_result):
+                            queue.fail(lease, "worker process died (pool broke)")
                 pool = ProcessPoolExecutor(max_workers=jobs)
     finally:
         pool.shutdown(wait=False, cancel_futures=True)

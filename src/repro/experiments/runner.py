@@ -15,8 +15,10 @@ tables.  Highlights::
     --shard-status                    cache occupancy per experiment
     --write-md PATH                   refresh the results file
 
-``--full`` is kept as an alias for ``--tier full``.  See
-docs/orchestration.md for the scenario/shard/cache model and the
+The six run options (``--jobs`` … ``--shard-timeout``) are declared
+once, by :func:`add_run_options`, and validated and executed by
+:func:`run_with_options`; ``repro campaign run`` uses the same pair.
+See docs/orchestration.md for the scenario/shard/cache model and the
 work-queue (lease/journal/quarantine) layer underneath it.
 
 ``python -m repro campaign ...`` dispatches to the randomized
@@ -33,19 +35,7 @@ import argparse
 import os
 import sys
 import time
-from typing import Callable
 
-from repro.experiments import (
-    e_async_random,
-    e_baselines,
-    e_open_problem,
-    e_fig1,
-    e_hardness,
-    e_infeasible,
-    e_shrink,
-    e_symm_rv,
-    e_universal,
-)
 from repro.experiments.records import ExperimentRecord
 from repro.experiments.orchestrator import (
     ExperimentRun,
@@ -54,62 +44,87 @@ from repro.experiments.orchestrator import (
     validate_experiment_ids,
 )
 from repro.experiments.queue import DEFAULT_MAX_RETRIES
-from repro.experiments.scenarios import TIERS, all_scenarios, tier_for
+from repro.experiments.scenarios import TIERS, ScenarioSpec, all_scenarios
 from repro.experiments.store import DEFAULT_CACHE_DIR, ResultStore
 
-__all__ = ["EXPERIMENTS", "run_all", "to_markdown", "main"]
-
-#: Legacy registry: experiment id -> ``run(fast: bool)`` entry point.
-#: New code should address experiments through
-#: :mod:`repro.experiments.scenarios` / the orchestrator instead.
-EXPERIMENTS: dict[str, Callable[[bool], ExperimentRecord]] = {
-    "FIG1": e_fig1.run,
-    "TAB-SHRINK": e_shrink.run,
-    "EXP-L31": e_infeasible.run,
-    "EXP-L32": e_symm_rv.run,
-    "EXP-T31/P41": e_universal.run,
-    "EXP-T41": e_hardness.run,
-    "EXP-BASE/LE": e_baselines.run,
-    "EXP-OPEN": e_open_problem.run,
-    "EXP-ASYNC/RAND": e_async_random.run,
-}
+__all__ = ["add_run_options", "run_with_options", "to_markdown", "main"]
 
 
-def run_all(
-    fast: bool = True,
-    only: list[str] | None = None,
-    *,
-    tier: str | None = None,
-    jobs: int = 1,
-    store: ResultStore | None = None,
-) -> list[tuple[ExperimentRecord, float]]:
-    """Run experiments; returns ``(record, seconds)`` pairs.
-
-    Every requested id is validated *before* any experiment executes,
-    so a typo cannot burn the minutes of the experiments ahead of it.
-    ``fast`` is the legacy knob; ``tier`` overrides it when given.
-    """
-    runs = run_suite(
-        only,
-        tier=tier or tier_for(fast),
-        jobs=jobs,
-        store=store,
+def add_run_options(parser: argparse.ArgumentParser) -> None:
+    """Declare the run options shared by ``repro`` and ``repro campaign run``."""
+    parser.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="worker processes for shard execution (default 1 = serial)",
     )
-    return [(run.record, run.seconds) for run in runs]
+    parser.add_argument(
+        "--cache-dir", metavar="PATH", default=DEFAULT_CACHE_DIR,
+        help=f"result-store location (default {DEFAULT_CACHE_DIR})",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="disable the result store (recompute every shard)",
+    )
+    parser.add_argument(
+        "--resume", nargs="?", const="", default=None, metavar="RUN_ID",
+        help="re-attach to a journaled run (default: the run id this "
+        "same invocation derives) and recompute nothing it completed",
+    )
+    parser.add_argument(
+        "--max-retries", type=int, default=DEFAULT_MAX_RETRIES, metavar="N",
+        help="re-lease a failing shard N times before quarantining it "
+        f"(default {DEFAULT_MAX_RETRIES})",
+    )
+    parser.add_argument(
+        "--shard-timeout", type=float, default=None, metavar="SECONDS",
+        help="with --jobs >= 2, expire a shard lease after SECONDS and "
+        "re-lease it; the expired worker is not killed, so a hung shard "
+        "still blocks the run (default: no deadline)",
+    )
+
+
+def run_with_options(
+    args: argparse.Namespace,
+    selection: list[str | ScenarioSpec] | None,
+    *,
+    tier: str,
+    seed: int | None = None,
+) -> list[ExperimentRun]:
+    """Validate the shared run options, then run ``selection``.
+
+    Raises ``argparse.ArgumentTypeError`` naming the bad option before
+    anything executes; each CLI reports it in its own way.
+    """
+    if args.jobs < 1:
+        raise argparse.ArgumentTypeError("--jobs must be >= 1")
+    if args.max_retries < 0:
+        raise argparse.ArgumentTypeError("--max-retries must be >= 0")
+    if args.shard_timeout is not None and args.shard_timeout <= 0:
+        raise argparse.ArgumentTypeError("--shard-timeout must be > 0")
+    if args.resume is not None and args.no_cache:
+        raise argparse.ArgumentTypeError(
+            "--resume needs the journal; drop --no-cache"
+        )
+    return run_suite(
+        selection,
+        tier=tier,
+        seed=seed,
+        jobs=args.jobs,
+        store=None if args.no_cache else ResultStore(args.cache_dir),
+        max_retries=args.max_retries,
+        shard_timeout=args.shard_timeout,
+        run_id=args.resume or None,
+        resume=args.resume is not None,
+    )
 
 
 def to_markdown(
-    results: list[tuple[ExperimentRecord, float]],
-    *,
-    fast: bool = True,
-    tier: str | None = None,
+    results: list[tuple[ExperimentRecord, float]], *, tier: str = "fast"
 ) -> str:
     """Assemble the EXPERIMENTS.md body from run results.
 
     Timings are deliberately omitted: the file must be byte-identical
     across ``--jobs`` settings and across warm-cache re-runs.
     """
-    tier = tier or tier_for(fast)
     flag = "" if tier == "fast" else f" --tier {tier}"
     lines = [
         "# EXPERIMENTS — paper vs. measured",
@@ -213,24 +228,10 @@ def _main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("experiments", nargs="*", help="experiment ids (default all)")
     parser.add_argument(
-        "--tier", choices=TIERS, default=None,
+        "--tier", choices=TIERS, default="fast",
         help="scale tier (default fast)",
     )
-    parser.add_argument(
-        "--full", action="store_true", help="alias for --tier full"
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for shard execution (default 1 = serial)",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="PATH", default=DEFAULT_CACHE_DIR,
-        help=f"result-store location (default {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the result store (recompute every shard)",
-    )
+    add_run_options(parser)
     parser.add_argument(
         "--list", action="store_true", dest="list_scenarios",
         help="list scenarios, shard counts per tier, and shard axes",
@@ -238,22 +239,6 @@ def _main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--shard-status", action="store_true",
         help="show cached/total shards per experiment, then exit",
-    )
-    parser.add_argument(
-        "--resume", nargs="?", const="", default=None, metavar="RUN_ID",
-        help="re-attach to a journaled run (default: the run id this "
-        "same invocation derives) and recompute nothing it completed",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=DEFAULT_MAX_RETRIES, metavar="N",
-        help="re-lease a failing shard N times before quarantining it "
-        f"(default {DEFAULT_MAX_RETRIES})",
-    )
-    parser.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="SECONDS",
-        help="with --jobs >= 2, expire a shard lease after SECONDS and "
-        "re-lease it; the expired worker is not killed, so a hung shard "
-        "still blocks the run (default: no deadline)",
     )
     parser.add_argument(
         "--replay-shard", metavar="ARTIFACT", default=None,
@@ -268,41 +253,25 @@ def _main(argv: list[str] | None = None) -> int:
 
     if args.replay_shard is not None:
         return _replay_shard(args.replay_shard)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    if args.max_retries < 0:
-        parser.error("--max-retries must be >= 0")
-    if args.resume is not None and args.no_cache:
-        parser.error("--resume needs the journal; drop --no-cache")
-    if args.full and args.tier is not None:
-        parser.error("--full is an alias for --tier full; drop one of the two")
-    tier = args.tier or ("full" if args.full else "fast")
+    tier = args.tier
     only = args.experiments or None
 
     if args.list_scenarios:
         _print_scenarios()
         return 0
 
-    store = None if args.no_cache else ResultStore(args.cache_dir)
-
     if args.shard_status:
-        if store is None:
+        if args.no_cache:
             parser.error("--shard-status requires the cache (drop --no-cache)")
         validate_experiment_ids(only)
-        _print_shard_status(only, tier=tier, store=store)
+        _print_shard_status(only, tier=tier, store=ResultStore(args.cache_dir))
         return 0
 
     started = time.perf_counter()
-    runs: list[ExperimentRun] = run_suite(
-        only,
-        tier=tier,
-        jobs=args.jobs,
-        store=store,
-        max_retries=args.max_retries,
-        shard_timeout=args.shard_timeout,
-        run_id=args.resume or None,
-        resume=args.resume is not None,
-    )
+    try:
+        runs = run_with_options(args, only, tier=tier)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
     for run in runs:
         print(run.record.to_text())
         print(
@@ -323,7 +292,8 @@ def _main(argv: list[str] | None = None) -> int:
     if quarantined:
         print(
             f"WARNING: {quarantined} shard(s) quarantined; artifacts under "
-            f"{store.root if store else '?'}/runs/<run-id>/quarantine/ — "
+            f"{'?' if args.no_cache else args.cache_dir}/runs/<run-id>/"
+            "quarantine/ — "
             "replay with --replay-shard"
         )
 

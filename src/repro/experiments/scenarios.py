@@ -1,7 +1,6 @@
 """Scenario specs: declarative, seed-threaded experiment parameter sets.
 
-This module replaces the old ``run(fast: bool)`` driver protocol.  Each
-driver in :mod:`repro.experiments` now declares a :class:`ScenarioSpec`
+Each driver in :mod:`repro.experiments` declares a :class:`ScenarioSpec`
 naming its parameter sets per **scale tier** (``smoke`` < ``fast`` <
 ``full`` < ``stress``) and its shard axis, and implements three pure
 functions over a :class:`RunConfig`:
@@ -42,21 +41,16 @@ __all__ = [
     "SCENARIO_MODULES",
     "get_scenario",
     "all_scenarios",
-    "tier_for",
     "build_graph",
     "GraphFamily",
     "GRAPH_FAMILIES",
 ]
 
 #: Scale tiers, smallest to largest.  ``smoke`` exists for CI
-#: round-trips, ``fast``/``full`` map onto the legacy ``fast: bool``
-#: protocol, ``stress`` is the open-ended heavy-traffic tier.
+#: round-trips, ``fast`` is the default reproduction, ``full`` the
+#: complete parameter ranges, ``stress`` the open-ended heavy-traffic
+#: tier.
 TIERS = ("smoke", "fast", "full", "stress")
-
-
-def tier_for(fast: bool) -> str:
-    """Map the legacy ``fast: bool`` knob onto a named tier."""
-    return "fast" if fast else "full"
 
 
 @dataclass(frozen=True)

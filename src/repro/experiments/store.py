@@ -15,10 +15,11 @@ the entry.  Interrupted runs resume for free: completed shards are
 already on disk, only missing ones recompute.
 
 Entries are plain JSON files (``<root>/<key[:2]>/<key>.json``)
-written atomically (tempfile + ``os.replace``), so a store survives
-crashes, a reader never observes a half-written entry, and the cache
-can be inspected, diffed, or garbage-collected with ordinary shell
-tools.  Reads are lock-free.
+written atomically (:func:`write_atomic`: tempfile + ``os.replace``),
+so a store survives crashes, a reader never observes a half-written
+entry, and the cache can be inspected, diffed, or garbage-collected
+with ordinary shell tools.  Reads are lock-free.  Quarantine and
+campaign replay artifacts go through the same writer.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.util.encoding import canonical_json
 __all__ = [
     "STORE_VERSION",
     "DEFAULT_CACHE_DIR",
+    "write_atomic",
     "shard_key",
     "GcReport",
     "ResultStore",
@@ -47,6 +49,30 @@ STORE_VERSION = 1
 
 #: Default on-disk location (relative to the invoking directory).
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` so a reader never sees a partial file.
+
+    The text lands in a ``.<stem>-*.tmp`` file in the target directory
+    (created if missing) and is moved into place with ``os.replace``;
+    a crash leaves at most that temp file, which
+    :meth:`ResultStore.prune` removes from the store.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.stem}-", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def shard_key(config: RunConfig, shard: dict, code_version: int) -> str:
@@ -111,21 +137,7 @@ class ResultStore:
     def put(self, key: str, data: dict, meta: dict | None = None) -> None:
         """Persist one shard result atomically (tempfile + rename)."""
         entry = {"key": key, "meta": meta or {}, "data": data}
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(entry, sort_keys=True))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(self.path_for(key), json.dumps(entry, sort_keys=True))
 
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None

@@ -8,8 +8,7 @@ rely on being identical across processes, machines, and re-runs:
   JSON codec behind the content-addressed result store, the run
   journal, the campaign replay artifacts, and every byte-identity
   check in CI (the REPRO104 lint rule enforces routing through them —
-  see docs/static_analysis.md).  They used to live in
-  :mod:`repro.experiments.store`, which still re-exports them.
+  see docs/static_analysis.md).
 * the bit-string transforms are used by ``AsymmRV`` (our substitute
   for the algorithm of Czyzowicz, Kosowski & Pelc [20]), which turns
   each agent's truncated view into a *label* — a finite bit string —

@@ -176,3 +176,17 @@ def test_resume_conflicts_with_no_cache(tmp_path, capsys, mini_registry):
     )
     assert code == 2
     assert "--resume needs the journal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--max-retries", "-1"), ("--shard-timeout", "0")]
+)
+def test_run_rejects_bad_retry_options(tmp_path, capsys, mini_registry, flag, value):
+    """The shared run options reject these before any cell runs."""
+    cache = tmp_path / "cache"
+    code = campaign_main(
+        ["run", "mini-cli", "--tier", "smoke", "--cache-dir", str(cache), flag, value]
+    )
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not cache.exists()

@@ -7,8 +7,10 @@ these tests keep the reproduction pipeline itself green.)
 
 import pytest
 
+from repro.experiments.orchestrator import run_experiment, run_suite
 from repro.experiments.records import ExperimentRecord, render_table
-from repro.experiments.runner import EXPERIMENTS, run_all, to_markdown
+from repro.experiments.runner import to_markdown
+from repro.experiments.scenarios import SCENARIO_MODULES
 
 
 class TestRecords:
@@ -39,9 +41,11 @@ class TestRecords:
         assert "REPRODUCED" in rec.to_text()
 
 
-@pytest.mark.parametrize("exp_id", sorted(k for k in EXPERIMENTS if k != "EXP-L31"))
+@pytest.mark.parametrize(
+    "exp_id", sorted(k for k in SCENARIO_MODULES if k != "EXP-L31")
+)
 def test_driver_fast_mode(exp_id):
-    record = EXPERIMENTS[exp_id](True)
+    record = run_experiment(exp_id, tier="fast").record
     assert record.passed, record.to_text()
     assert record.rows, "driver produced no table rows"
     assert record.measured_summary
@@ -49,20 +53,20 @@ def test_driver_fast_mode(exp_id):
 
 @pytest.mark.slow
 def test_infeasible_driver_fast_mode():
-    record = EXPERIMENTS["EXP-L31"](True)
+    record = run_experiment("EXP-L31", tier="fast").record
     assert record.passed, record.to_text()
 
 
 def test_runner_selection_and_markdown():
-    results = run_all(fast=True, only=["FIG1", "TAB-SHRINK"])
-    assert len(results) == 2
-    md = to_markdown(results)
+    runs = run_suite(["FIG1", "TAB-SHRINK"], tier="fast")
+    assert len(runs) == 2
+    md = to_markdown([(run.record, run.seconds) for run in runs])
     assert "### FIG1" in md and "### TAB-SHRINK" in md
 
 
 def test_runner_rejects_unknown():
     with pytest.raises(KeyError):
-        run_all(only=["NOPE"])
+        run_suite(["NOPE"])
 
 
 def test_json_record_shape():

@@ -9,7 +9,7 @@ The load-bearing guarantees of the PR-4 refactor:
 * the content-addressed store turns warm re-runs into zero-recompute
   cache reads, invalidates on any (spec, seed, code-version) change,
   survives corrupt entries, and resumes interrupted runs;
-* ``run_all`` validates every requested id *before* executing any.
+* ``run_suite`` validates every requested id *before* executing any.
 """
 
 import json
@@ -24,7 +24,7 @@ from repro.experiments.orchestrator import (
     shard_status,
     validate_experiment_ids,
 )
-from repro.experiments.runner import run_all, to_markdown
+from repro.experiments.runner import to_markdown
 from repro.experiments.scenarios import (
     SCENARIO_MODULES,
     build_graph,
@@ -67,11 +67,6 @@ def test_parallel_merge_is_bit_identical_to_serial():
         [(r.record, r.seconds) for r in runs], tier="smoke"
     )
     assert md(serial) == md(parallel)
-
-
-def test_legacy_run_matches_orchestrator():
-    """The back-compat run(fast) wrappers reuse the sharded pipeline."""
-    assert e_fig1.run(fast=True) == run_experiment("FIG1", tier="fast").record
 
 
 def test_warm_cache_recomputes_zero_shards(tmp_path):
@@ -179,7 +174,7 @@ def test_unknown_ids_rejected_before_any_execution(monkeypatch):
 
     monkeypatch.setattr(e_fig1, "run_shard", boom)
     with pytest.raises(KeyError, match="NOPE"):
-        run_all(only=["FIG1", "NOPE"])
+        run_suite(["FIG1", "NOPE"])
     with pytest.raises(KeyError, match="NOPE"):
         run_suite(["FIG1", "NOPE"], tier="smoke")
 

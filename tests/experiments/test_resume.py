@@ -159,6 +159,10 @@ def test_quarantine_isolates_poison_shard_from_suite(tmp_path, monkeypatch):
     )
     assert resumed[0].shards_quarantined == 1
     assert resumed[1].shards_cached == len(resumed[1].shards)
+    # ... and reports it exactly as the original run did: same record
+    # (attempts included) and the same full artifact path.
+    assert resumed[0].record == fig1.record
+    assert resumed[0].shards[0].artifact == outcome.artifact
 
     # A fresh (non-resume) run retries the shard; with the driver
     # fixed, it completes and the record recovers.

@@ -13,7 +13,9 @@ import pathlib
 import subprocess
 import sys
 
-from repro.experiments import e_async_random
+import pytest
+
+from repro.experiments.orchestrator import run_experiment
 
 REPO_SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
 
@@ -131,21 +133,29 @@ def test_bad_jobs_rejected(tmp_path):
     assert "--jobs" in proc.stderr
 
 
-def test_full_conflicts_with_tier(tmp_path):
-    """--full silently overriding (or being overridden by) --tier would
-    regenerate the wrong parameter ranges; the combination must error."""
-    proc = _run_cli(["--full", "--tier", "smoke"], tmp_path)
-    assert proc.returncode != 0
-    assert "--tier full" in proc.stderr
+@pytest.mark.parametrize(
+    "flag,value", [("--max-retries", "-1"), ("--shard-timeout", "0")]
+)
+def test_bad_retry_options_rejected_before_running(tmp_path, flag, value):
+    """--max-retries < 0 and --shard-timeout <= 0 are usage errors."""
+    proc = _run_cli(["FIG1", "--tier", "smoke", flag, value], tmp_path)
+    assert proc.returncode == 2, proc.stdout
+    assert flag in proc.stderr
+    assert "== FIG1" not in proc.stdout
+    assert not (tmp_path / ".repro-cache").exists()
+
+
+def _async_random(seed):
+    return run_experiment("EXP-ASYNC/RAND", tier="fast", seed=seed).record
 
 
 def test_async_random_is_seed_deterministic():
     """EXP-ASYNC/RAND is a pure function of its seed, run to run."""
-    first = e_async_random.run(fast=True, seed=123)
-    second = e_async_random.run(fast=True, seed=123)
+    first = _async_random(123)
+    second = _async_random(123)
     assert first.to_json_dict() == second.to_json_dict()
     assert first.passed
-    other = e_async_random.run(fast=True, seed=321)
+    other = _async_random(321)
     # A different seed reroots the adversary schedules and coin streams;
     # the verdict must hold regardless.
     assert other.passed
