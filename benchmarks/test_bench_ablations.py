@@ -1,7 +1,8 @@
 """Ablations over the reproduction's tunable design choices.
 
-DESIGN.md §2 substitutes certified-tuned constants for the paper's
-(astronomically large) reference constants.  These benchmarks quantify
+The tuned profile substitutes certified small constants for the
+paper's (astronomically large) reference constants; the argument is in
+the ``repro.core.profile`` module docstring.  These benchmarks quantify
 each knob so the trade is visible in numbers:
 
 * **label mode** (hash16 / hash32 / padded): injectivity vs schedule

@@ -1,6 +1,6 @@
 """``AsymmRV(n)`` — rendezvous from non-symmetric positions ([20]).
 
-Substitution (DESIGN.md §2.2): instead of the log-space machinery of
+Substitution (see :mod:`repro.core.profile`): instead of the log-space machinery of
 Czyzowicz–Kosowski–Pelc we implement the classical label +
 time-multiplexing scheme, which provides the same *guarantee*
 (Proposition 3.1: from non-symmetric positions in a graph of size

@@ -1,4 +1,6 @@
-"""View-based labels for AsymmRV (substitute for [20]; see DESIGN.md §2.2).
+"""View-based labels for AsymmRV (substitute for [20]).
+
+See :mod:`repro.core.profile` for the substitution argument.
 
 Non-symmetric nodes of an ``n``-node graph have different views
 truncated at depth ``n - 1`` (Norris' theorem).  Each agent therefore

@@ -13,8 +13,14 @@ experiments run a *tuned* profile with small certified constants:
 * 16-bit hashed labels, distinctness **certified per run**;
 * oracle-mode view acquisition (pure waiting, fast-forwarded).
 
-Tests cross-validate the two profiles on the smallest instances.  See
-DESIGN.md §2 for the substitution argument.
+The same argument covers the substitutions for the paper's
+sub-procedures: a pseudorandom UXS for Reingold's construction
+(:mod:`repro.core.uxs`, certified exhaustively for tiny sizes by
+:mod:`repro.graphs.enumeration`), and view labels with verified
+time-multiplexing schedules for the log-space AsymmRV of [20]
+(:mod:`repro.core.asymm_rv`, :mod:`repro.core.labels`,
+:mod:`repro.core.schedules`).  Tests cross-validate the two profiles
+on the smallest instances.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ slots".  :func:`schedule_word` maps a label to a periodic binary word
 shift, that condition occurs; :func:`verify_schedule_pair` checks the
 property exhaustively and is exercised over all small label pairs in
 the test suite (our construction is verified rather than proven — see
-DESIGN.md §2.2).
+:mod:`repro.core.profile`).
 
 Construction: a marker block ``111000`` followed by one block per
 label bit: ``1100`` for a one-bit, ``0011`` for a zero-bit.  The

@@ -18,7 +18,7 @@ invariant Theorem 3.1's proof rests on.  (Deviation from the paper's
 pseudocode: we cap SymmRV at ``T`` and pad to ``2T`` instead of
 running it to completion and padding to ``T``; in the decisive phase
 SymmRV completes within ``T`` by Lemma 3.3, and in wrong phases only
-the equal duration matters.  See DESIGN.md §2.)
+the equal duration matters.  See :mod:`repro.core.profile`.)
 
 By Theorem 3.1 rendezvous is achieved for every feasible STIC with no
 a priori knowledge; by Lemma 3.1 infeasible STICs admit no algorithm

@@ -8,7 +8,7 @@ by which the walk entered ``u_i``.  ``Y(n)`` is a UXS for the class of
 graphs of size ``n`` when every application in every such graph visits
 all nodes.
 
-Substitution (see DESIGN.md §2.1): instead of Reingold's explicit
+Substitution (see :mod:`repro.core.profile`): instead of Reingold's explicit
 construction we emit a deterministic pseudorandom sequence keyed only
 by ``n`` — identical for both agents, which is the sole property the
 symmetry argument of Lemma 3.2 requires — of length

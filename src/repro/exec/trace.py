@@ -12,6 +12,10 @@ code.  Position updates are one successor-table gather per move event
 for the whole class; wait blocks advance the clock without touching
 positions.
 
+A start compiled alone (every start in oracle mode) keeps a resumable
+cursor instead: a deeper horizon continues from where the last compile
+stopped, so adaptive deepening costs time linear in the final horizon.
+
 The compiled :class:`PortTrace` is the IR every engine consumes:
 
 * the synchronous STIC sweep reads it as a step function
@@ -198,6 +202,41 @@ class _Group:
         return sub
 
 
+class _Cursor:
+    """Resumable compile state of one start on the scalar path.
+
+    ``children`` is the current level of the shared trie, or ``None``
+    in oracle mode (an oracle may depend on the start, so decisions are
+    never interned).  While ``script`` is ``None`` the cursor follows
+    the trie and records its ``(degree, entry, clock)`` history; the
+    generator is built from that history at most once, at the first
+    decision the trie does not know, and the history is dropped.
+    """
+
+    __slots__ = (
+        "pos",
+        "entry",
+        "clock",
+        "children",
+        "script",
+        "hist",
+        "move_clocks",
+        "move_pos",
+        "tail_waits",
+    )
+
+    def __init__(self, start: int, children: dict | None) -> None:
+        self.pos = start
+        self.entry = -1
+        self.clock = 0
+        self.children = children
+        self.script: AgentScript | None = None
+        self.hist: list[tuple[int, int, int]] | None = []
+        self.move_clocks: list[int] = []
+        self.move_pos: list[int] = []
+        self.tail_waits = 0
+
+
 class TraceCompiler:
     """Compiles and caches :class:`PortTrace` objects for one
     ``(graph, algorithm)`` pair; reusable across batch calls — and
@@ -214,9 +253,8 @@ class TraceCompiler:
         self._graph = graph
         self._algorithm = algorithm
         self._oracle_factory = oracle_factory
-        self._oracles: dict[int, object] = {}
         self._trie: dict[tuple[int, int], _TrieNode] = {}
-        self._tries: dict[int, dict] = {}  # per-start roots (oracle mode)
+        self._cursors: dict[int, _Cursor] = {}
         self._cache: dict[int, PortTrace] = {}
         # Plain-list mirrors of the successor tables: python-int indexing
         # is what the singleton fast path spends its time on.
@@ -244,14 +282,16 @@ class TraceCompiler:
         if jobs:
             horizon = max(horizons[s] for s in jobs)
             starts = sorted(set(jobs))
-            if self._oracle_factory is not None:
+            if self._oracle_factory is not None or len(starts) == 1:
                 # Oracles may depend on the start node, so classes never
-                # merge: compile each start alone with a private trie.
+                # merge: each start resumes its own cursor.
                 for s in starts:
-                    self._run_single(s, horizon, self._tries.setdefault(s, {}))
-            elif len(starts) == 1:
-                self._run_single(starts[0], horizon, self._trie)
+                    self._run_single(s, horizon)
             else:
+                # The ensemble stepper restarts from clock 0; a cursor
+                # left behind would lag its trace.
+                for s in starts:
+                    self._cursors.pop(s, None)
                 group = _Group(np.array(starts, dtype=np.int64), self._trie)
                 self._run_group(group, horizon)
         return {s: self._cache[s] for s in horizons}
@@ -272,9 +312,7 @@ class TraceCompiler:
     def _instantiate(self, wake: Perception, start: int) -> AgentScript:
         if self._oracle_factory is None:
             return self._algorithm(wake)
-        if start not in self._oracles:
-            self._oracles[start] = self._oracle_factory(start)
-        return self._algorithm(wake, self._oracles[start])
+        return self._algorithm(wake, self._oracle_factory(start))
 
     def _replay(self, group: _Group, current: Perception) -> AgentScript:
         """Fresh generator positioned to decide on ``current``."""
@@ -327,45 +365,55 @@ class TraceCompiler:
             )
         return script
 
-    def _run_single(self, start: int, horizon: int, children: dict) -> None:
-        """Scalar compile of one start node (the oracle-mode path and
-        the single-start degenerate case of the ensemble stepper)."""
+    def _run_single(self, start: int, horizon: int) -> None:
+        """Scalar compile of one start node through ``horizon``,
+        resuming its cursor (the oracle-mode path and the single-start
+        degenerate case of the ensemble stepper)."""
+        cur = self._cursors.get(start)
+        if cur is None:
+            children = None if self._oracle_factory is not None else self._trie
+            cur = self._cursors[start] = _Cursor(start, children)
         deg = self._deg_list
         succ = self._succ_list
         succ_port = self._succ_port_list
-        pos, entry, clock = start, -1, 0
-        script: AgentScript | None = None
-        hist: list[tuple[int, int, int]] = []
-        move_clocks: list[int] = []
-        move_pos: list[int] = []
+        pos, entry, clock = cur.pos, cur.entry, cur.clock
+        children, script, hist = cur.children, cur.script, cur.hist
+        move_clocks, move_pos = cur.move_clocks, cur.move_pos
+        tail_waits = cur.tail_waits
         stopped = False
         error: Exception | None = None
-        error_clock = 0
-        tail_waits = 0
         while clock <= horizon:
             d = deg[pos]
-            key = (d, entry)
-            node = children.get(key)
-            if node is None or script is not None:
+            node = None if children is None else children.get((d, entry))
+            if script is None and node is not None:
+                assert hist is not None
+                hist.append((d, entry, clock))
+                action = node.action
+            else:
                 percept = Perception(
                     degree=d, entry_port=(None if entry < 0 else entry), clock=clock
                 )
-                if node is None:
-                    if script is None:
-                        script = self._replay_keys(hist, percept, start)
-                    action = self._advance(script, percept, first=not hist)
-                    node = _TrieNode(action)
-                    children[key] = node
-                else:
-                    self._advance(script, percept, first=not hist)
-            hist.append((d, entry, clock))
-            children = node.children
-            action = node.action
+                first = False
+                if script is None:
+                    # Divergence from the trie (or the first decision):
+                    # the generator is built once and the history dropped.
+                    assert hist is not None
+                    first = not hist
+                    script = self._replay_keys(hist, percept, start)
+                    hist = None
+                action = self._advance(script, percept, first=first)
+                if children is not None:
+                    if node is None:
+                        node = children[(d, entry)] = _TrieNode(action)
+                    else:
+                        action = node.action
+            if node is not None:
+                children = node.children
             if action is _STOP:
                 stopped = True
                 break
             if isinstance(action, _Raise):
-                error, error_clock = action.exc, clock
+                error = action.exc
                 break
             if isinstance(action, Move):
                 move_clocks.append(clock)
@@ -381,6 +429,13 @@ class TraceCompiler:
             else:
                 clock += action.rounds
                 tail_waits += 1
+        if stopped or error is not None:
+            # Final: the trace is sufficient for every later horizon.
+            del self._cursors[start]
+        else:
+            cur.pos, cur.entry, cur.clock = pos, entry, clock
+            cur.children, cur.script, cur.hist = children, script, hist
+            cur.tail_waits = tail_waits
         times = np.zeros(len(move_clocks) + 1, dtype=np.int64)
         if move_clocks:
             times[1:] = np.asarray(move_clocks, dtype=np.int64) + 1
@@ -393,7 +448,7 @@ class TraceCompiler:
             start=start,
             times=times,
             nodes=nodes,
-            valid_through=error_clock if error is not None else clock,
+            valid_through=clock,
             complete=stopped,
             error=error,
             tail_waits=tail_waits,

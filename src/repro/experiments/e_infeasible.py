@@ -14,20 +14,28 @@ experiment layers two kinds of evidence over every STIC with
 with symmetric starts the two agents' perception streams are
 identical up to the time shift, so their port decisions coincide.)
 
-Sharded per (STIC, delta) cell — the long-horizon negative runs are
-the suite's dominant cost, and every cell is independent.
+Sharded per STIC case: the long-horizon negative runs are the suite's
+dominant cost, and one batched sweep (:func:`repro.sim.batch.
+run_rendezvous_batch`) compiles each agent's trace once for every
+``delta < Shrink`` of the case.  The rows are identical to the scalar
+front door :func:`repro.core.universal.rendezvous` run per delta.
 """
 
 from __future__ import annotations
 
 from repro.core.profile import TUNED
-from repro.core.universal import rendezvous
+from repro.core.universal import (
+    UniversalOracle,
+    certify_instance,
+    make_universal_algorithm,
+)
 from repro.experiments.records import ExperimentRecord
 from repro.experiments.scenarios import RunConfig, ScenarioSpec, build_graph
+from repro.sim.batch import run_rendezvous_batch
 from repro.symmetry.shrink import shrink
 from repro.util.lcg import SplitMix64, derive_seed
 
-__all__ = ["run", "SCENARIO", "make_shards", "run_shard", "merge"]
+__all__ = ["SCENARIO", "make_shards", "run_shard", "merge"]
 
 _CASES = {
     "two-node": ["two-node", {"family": "two_node"}, 0, 1],
@@ -42,7 +50,8 @@ SCENARIO = ScenarioSpec(
     exp_id="EXP-L31",
     title="Infeasibility below Shrink (Lemma 3.1)",
     module="repro.experiments.e_infeasible",
-    shard_axis="(STIC, delta) cell",
+    shard_axis="STIC case (every delta < Shrink)",
+    code_version=2,
     tiers={
         "smoke": {
             "cases": [_CASES["two-node"], _CASES["ring6"]],
@@ -116,59 +125,64 @@ def _oblivious_battery(graph, u, v, delta, rounds, seeds) -> bool:
             pos_a = int(succ[pos_a, word[t] % int(degrees[pos_a])])
             if t >= delta:
                 pos_b = int(succ[pos_b, word[t - delta] % int(degrees[pos_b])])
+        # The configuration after the last move, at time ``rounds``.
+        if rounds >= delta and pos_a == pos_b:
+            return True
     return False
 
 
 def make_shards(config: RunConfig) -> list[dict]:
-    """One shard per ``(case, delta)`` cell, ``delta < Shrink(u, v)``."""
+    """One shard per STIC case with ``Shrink(u, v) > 0``."""
     shards = []
     for name, graph_spec, u, v in config.params["cases"]:
         s = shrink(build_graph(graph_spec), u, v)
-        for delta in range(s):
+        if s:
             shards.append(
-                {
-                    "name": name,
-                    "graph": graph_spec,
-                    "u": u,
-                    "v": v,
-                    "shrink": s,
-                    "delta": delta,
-                }
+                {"name": name, "graph": graph_spec, "u": u, "v": v, "shrink": s}
             )
     return shards
 
 
 def run_shard(config: RunConfig, shard: dict) -> dict:
     graph = build_graph(shard["graph"])
-    u, v, delta = shard["u"], shard["v"], shard["delta"]
+    u, v, s = shard["u"], shard["v"], shard["shrink"]
     # Horizon policy: a negative result over an infinite horizon cannot
     # be simulated; we run 1-2 orders of magnitude past the meeting
     # times observed for *feasible* STICs on the same graphs (tens to
     # thousands of rounds), which is where Lemma 3.1's lockstep
     # argument predicts no meeting can ever occur.
-    result = rendezvous(
-        graph, u, v, delta, profile=TUNED, max_rounds=config.params["horizon"]
-    )
-    battery = _oblivious_battery(
+    certify_instance(graph, u, v, TUNED)
+    results = run_rendezvous_batch(
         graph,
-        u,
-        v,
-        delta,
-        rounds=config.params["battery_rounds"],
-        seeds=range(config.params["battery_seeds"]),
+        [(u, v, delta) for delta in range(s)],
+        make_universal_algorithm(TUNED),
+        max_rounds=config.params["horizon"],
+        oracle_factory=lambda start: UniversalOracle(graph, start, TUNED),
     )
-    return {
-        "ok": not result.met and not battery,
-        "row": {
-            "graph": shard["name"],
-            "pair": f"({u},{v})",
-            "Shrink": shard["shrink"],
-            "delta": delta,
-            "UniversalRV rounds": result.rounds_executed,
-            "met": result.met,
-            "battery met": battery,
-        },
-    }
+    rows = []
+    ok = True
+    for delta, result in enumerate(results):
+        battery = _oblivious_battery(
+            graph,
+            u,
+            v,
+            delta,
+            rounds=config.params["battery_rounds"],
+            seeds=range(config.params["battery_seeds"]),
+        )
+        ok = ok and not result.met and not battery
+        rows.append(
+            {
+                "graph": shard["name"],
+                "pair": f"({u},{v})",
+                "Shrink": s,
+                "delta": delta,
+                "UniversalRV rounds": result.rounds_executed,
+                "met": result.met,
+                "battery met": battery,
+            }
+        )
+    return {"ok": ok, "rows": rows}
 
 
 def merge(config: RunConfig, shard_results: list[dict]) -> ExperimentRecord:
@@ -190,7 +204,8 @@ def merge(config: RunConfig, shard_results: list[dict]) -> ExperimentRecord:
         ],
     )
     for result in shard_results:
-        record.add_row(**result["row"])
+        for row in result["rows"]:
+            record.add_row(**row)
     record.passed = all(result["ok"] for result in shard_results)
     record.measured_summary = (
         "no algorithm in the battery (UniversalRV + random deterministic "

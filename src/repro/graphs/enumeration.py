@@ -1,6 +1,6 @@
 """Exhaustive enumeration of small port-labeled graphs.
 
-The UXS substitution (DESIGN.md §2.1) is certified exhaustively for
+The UXS substitution (see :mod:`repro.core.profile`) is certified exhaustively for
 tiny sizes: a sequence is accepted as "universal for size n" only if
 it covers *every* connected port-labeled graph on ``n`` named nodes
 from *every* start node.  This module generates that class — all

@@ -36,9 +36,10 @@ Requirements and caveats:
 
 * the algorithm must be *deterministic* — identical perception streams
   must yield identical action streams (the model's own assumption);
-* with ``oracle_factory`` set, each start node gets a private decision
-  trie (an oracle may depend on the start), so only cross-STIC trace
-  reuse remains;
+* with ``oracle_factory`` set, each start node is compiled alone with
+  no decision trie (an oracle may depend on the start), so only
+  cross-STIC trace reuse remains — deepening resumes each start's
+  compile instead of restarting it;
 * an exception raised by agent code is re-raised only for STICs whose
   scalar simulation would actually reach the offending round before
   meeting or running out of budget, mirroring the scheduler.

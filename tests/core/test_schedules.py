@@ -1,5 +1,6 @@
 """Tests for the activity-word construction — including the exhaustive
-verification that stands in for a pen-and-paper proof (DESIGN.md §2.2)."""
+verification that stands in for a pen-and-paper proof (see the
+``repro.core.profile`` module docstring)."""
 
 from itertools import product
 

@@ -1,5 +1,6 @@
 """Tests for universal exploration sequences, including the exhaustive
-small-size certification promised in DESIGN.md §2.1."""
+small-size certification promised in the
+``repro.core.profile`` module docstring."""
 
 import pytest
 

@@ -2,11 +2,12 @@
 execution-core refactor.
 
 The orchestrator suite already checks record *dict* equality for every
-scenario; this suite pins the stronger acceptance bar for the three
-experiments whose engines were rewired over :mod:`repro.exec` — the
-synchronous batch sweep (EXP-L32), the baseline family incl. leader
-election (EXP-BASE/LE), and the asynchronous adversary sweep
-(EXP-ASYNC/RAND).  For each, the canonical-JSON serialization of a
+scenario; this suite pins the stronger acceptance bar for the experiments
+whose engines were rewired over :mod:`repro.exec` — the synchronous
+batch sweep (EXP-L32), the baseline family incl. leader election
+(EXP-BASE/LE), the asynchronous adversary sweep (EXP-ASYNC/RAND), and
+the infeasibility runs moved from the scalar scheduler onto the batch
+engine (EXP-L31).  For each, the canonical-JSON serialization of a
 fresh fast-tier run must equal the canonical-JSON serialization of the
 pre-refactor golden fixture **as bytes**, so even ordering or float
 formatting drift would fail.
@@ -22,8 +23,9 @@ from repro.util.encoding import canonical_json
 
 GOLDEN_DIR = pathlib.Path(__file__).parents[1] / "experiments" / "golden"
 
-#: The engines this PR rewired, with the experiment that exercises each.
+#: The rewired engines, with the experiment that exercises each.
 REWIRED = {
+    "EXP-L31": "UniversalRV on the batch engine, oracle mode (repro.sim.batch)",
     "EXP-L32": "sync batch sweep (repro.sim.batch)",
     "EXP-BASE/LE": "baselines + leader election (repro.hardness)",
     "EXP-ASYNC/RAND": "async adversary sweep (repro.sim.schedule_adversary)",

@@ -57,6 +57,18 @@ def test_infeasible_driver_fast_mode():
     assert record.passed, record.to_text()
 
 
+def test_oblivious_battery_checks_the_final_configuration():
+    """On the 3-node path the agent at endpoint 0 must step to node 1,
+    where the delayed agent still waits: the first meeting is at time
+    ``rounds = 1``, after the last move, and must count."""
+    from repro.experiments.e_infeasible import _oblivious_battery
+    from repro.graphs import path_graph
+
+    graph = path_graph(3)
+    assert _oblivious_battery(graph, 0, 1, 1, rounds=1, seeds=[0])
+    assert not _oblivious_battery(graph, 0, 1, 1, rounds=0, seeds=[0])
+
+
 def test_runner_selection_and_markdown():
     runs = run_suite(["FIG1", "TAB-SHRINK"], tier="fast")
     assert len(runs) == 2

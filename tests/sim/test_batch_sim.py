@@ -192,7 +192,7 @@ class TestAgainstScalar:
                 )
 
     def test_universal_oracle_mode(self):
-        """UniversalRV with per-start oracles (private decision tries)."""
+        """UniversalRV with per-start oracles (resumable per-start compiles)."""
         graph = oriented_ring(5)
         algo = make_universal_algorithm(TUNED)
         budgets = {}
