@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterator
 
-import numpy as np
-
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.symmetry.context import symmetry_context
 from repro.symmetry.feasibility import (
@@ -44,60 +42,23 @@ class STIC:
 
 
 def enumerate_stics(
-    graph: PortLabeledGraph, max_delta: int, *, block_size: int | None = None
+    graph: PortLabeledGraph, max_delta: int
 ) -> Iterator[tuple[STIC, FeasibilityVerdict]]:
     """All STICs of a graph with delay up to ``max_delta``, classified.
 
     Symmetry data comes from the per-graph kernel: view colors and
     all-pairs ``Shrink`` are computed once per graph (not per pair),
     keeping full enumeration cheap for test sweeps.
-
-    With ``block_size`` the sweep streams: ``u`` runs in blocks of that
-    many rows and the ``Shrink`` values of the block's symmetric pairs
-    come from the kernel's batched per-pair BFS
-    (:meth:`~repro.symmetry.context.SymmetryContext.shrink_pairs`), so
-    nothing dense beyond one ``block x n`` slab is held — the scale
-    path for huge graphs.  The (STIC, verdict) stream is identical
-    either way.
     """
     context = symmetry_context(graph)
     colors = context.colors
     n = graph.n
-    if block_size is None:
-        for u in range(n):
-            for v in range(u + 1, n):
-                symmetric = bool(colors[u] == colors[v])
-                s = context.shrink_value(u, v) if symmetric else None
-                for delta in range(max_delta + 1):
-                    yield STIC(u, v, delta), classify_from_symmetry(
-                        symmetric, s, delta
-                    )
-        return
-    if block_size <= 0:
-        raise ValueError(f"block_size must be positive, got {block_size}")
-    for start in range(0, n, block_size):
-        stop = min(start + block_size, n)
-        block_rows = np.arange(start, stop, dtype=np.int64)
-        same = colors[block_rows][:, None] == colors[None, :]
-        upper = np.arange(n, dtype=np.int64)[None, :] > block_rows[:, None]
-        row_index, vs = np.nonzero(same & upper)
-        us = block_rows[row_index]
-        shrinks = context.shrink_pairs(us, vs) if us.size else us
-        cursor = 0
-        pairs = us.size
-        for u in range(start, stop):
-            for v in range(u + 1, n):
-                if cursor < pairs and us[cursor] == u and vs[cursor] == v:
-                    symmetric = True
-                    s: int | None = int(shrinks[cursor])
-                    cursor += 1
-                else:
-                    symmetric = False
-                    s = None
-                for delta in range(max_delta + 1):
-                    yield STIC(u, v, delta), classify_from_symmetry(
-                        symmetric, s, delta
-                    )
+    for u in range(n):
+        for v in range(u + 1, n):
+            symmetric = bool(colors[u] == colors[v])
+            s = context.shrink_value(u, v) if symmetric else None
+            for delta in range(max_delta + 1):
+                yield STIC(u, v, delta), classify_from_symmetry(symmetric, s, delta)
 
 
 def feasible_stics(graph: PortLabeledGraph, max_delta: int) -> list[STIC]:

@@ -24,13 +24,15 @@ from typing import Any, Callable, Mapping, Sequence
 
 __all__ = ["resolve_adaptive"]
 
+#: Geometric factor applied to the horizon between deepening rounds.
+_GROWTH = 4
+
 
 def resolve_adaptive(
     count: int,
     step: Callable[[Sequence[int], int], Mapping[int, Any]],
     *,
     initial_horizon: int = 1024,
-    growth: int = 4,
     cap: int | None = None,
 ) -> list[Any]:
     """Resolve ``count`` cells by repeatedly deepening the horizon.
@@ -44,16 +46,13 @@ def resolve_adaptive(
         ``(pending indices, horizon) -> {index: outcome}`` for the
         cells decided at this horizon.
     initial_horizon:
-        First compile depth (clamped to at least 1, and to ``cap``).
-    growth:
-        Geometric factor applied between rounds.
+        First compile depth (clamped to at least 1, and to ``cap``);
+        each later round multiplies it by ``_GROWTH`` (4).
     cap:
         Largest horizon worth compiling to, or ``None`` for unbounded
         growth (the callback must then guarantee termination, e.g. by
         fuel accounting).
     """
-    if growth < 2:
-        raise ValueError(f"growth must be >= 2, got {growth}")
     results: list[Any] = [None] * count
     pending = list(range(count))
     horizon = max(initial_horizon, 1)
@@ -70,7 +69,7 @@ def resolve_adaptive(
                     raise AssertionError(
                         "batch horizon exhausted with cells pending"
                     )
-                horizon = min(cap, horizon * growth)
+                horizon = min(cap, horizon * _GROWTH)
             else:
-                horizon *= growth
+                horizon *= _GROWTH
     return results

@@ -229,81 +229,40 @@ def covered_counts(
     seq: Sequence[int],
     *,
     chunk: int = 512,
-    stop_when_all_covered: bool = True,
-    block_size: int | None = None,
 ) -> np.ndarray:
     """Distinct nodes visited by the application of ``seq`` from each
     start node (vector of length ``n``).
 
-    The multi-start walk advances a block of start lanes in lockstep —
+    The multi-start walk advances all ``n`` start lanes in lockstep —
     one gather per UXS term — recording darts into a chunk buffer that
     is folded into the per-start visited sets every ``chunk`` steps.
-    With ``stop_when_all_covered`` (the default) a block exits as soon
-    as every one of its walks has covered the graph, so certification
-    cost is bounded by the graph's actual cover time, not the sequence
-    length.  The sequence is consumed chunk by chunk (no up-front
-    conversion of a multi-million-term tuple); offsets beyond the
-    symbol table's range take the per-step reduction path
+    The walk exits as soon as every one of its lanes has covered the
+    graph (visited sets only grow, so the counts are already final),
+    so certification cost is bounded by the graph's actual cover time,
+    not the sequence length.  The sequence is consumed chunk by chunk
+    (no up-front conversion of a multi-million-term tuple); offsets
+    beyond the symbol table's range take the per-step reduction path
     (:meth:`DartWalkTable.step_direct`), so memory never scales with
     the offset values.
-
-    ``block_size`` bounds the per-start state: lanes run in blocks of
-    at most that many starts, so peak memory is ``O(block * n)``
-    visited bits instead of ``O(n^2)`` — the scale path for huge
-    graphs.  The default (one block of all ``n`` starts) matches the
-    historical behavior; counts are per-lane independent, hence
-    bit-identical for every block split.
     """
     n = graph.n
     if n == 1:
         return np.asarray([1], dtype=np.int64)
-    if block_size is not None and block_size <= 0:
-        raise ValueError(f"block_size must be positive, got {block_size}")
     table = DartWalkTable(graph, max(2 * n, 2))
-    block = n if block_size is None else min(int(block_size), n)
-    start_darts = table.start_darts()
-    counts = np.empty(n, dtype=np.int64)
-    for lane0 in range(0, n, block):
-        lane1 = min(lane0 + block, n)
-        counts[lane0:lane1] = _covered_counts_lanes(
-            table,
-            start_darts,
-            lane0,
-            lane1,
-            seq,
-            chunk,
-            stop_when_all_covered,
-        )
-    return counts
-
-
-def _covered_counts_lanes(
-    table: DartWalkTable,
-    start_darts: np.ndarray,
-    lane0: int,
-    lane1: int,
-    seq: Sequence[int],
-    chunk: int,
-    stop_when_all_covered: bool,
-) -> np.ndarray:
-    """Coverage counts for start lanes ``lane0 .. lane1 - 1``."""
-    graph = table.graph
-    n = graph.n
     md = table.max_degree
     transitions = table.transitions
-    width = lane1 - lane0
 
-    visited = np.zeros((width, n), dtype=bool)
-    local = np.arange(width)
-    visited[local, np.arange(lane0, lane1)] = True
+    visited = np.zeros((n, n), dtype=bool)
+    lanes = np.arange(n)
+    visited[lanes, lanes] = True
 
-    darts = start_darts[lane0:lane1]
-    visited[local, darts // md] = True
-    if stop_when_all_covered and visited.all():
+    darts = table.start_darts()
+    visited[lanes, darts // md] = True
+    if visited.all():
         return visited.sum(axis=1)
 
-    buffer = np.empty((chunk, width), dtype=np.int64)
-    lane_base = local * n
+    buffer = np.empty((chunk, n), dtype=np.int64)
+    lane_base = lanes * n
     visited_flat = visited.reshape(-1)
     position = 0
     total = len(seq)
@@ -330,26 +289,17 @@ def _covered_counts_lanes(
         visited_flat[
             (buffer[:size] // md + lane_base[None, :]).reshape(-1)
         ] = True
-        if stop_when_all_covered and visited_flat.all():
+        if visited_flat.all():
             break
     return visited.sum(axis=1)
 
 
-def is_uxs_for_graph_vectorized(
-    graph: PortLabeledGraph,
-    seq: Sequence[int],
-    *,
-    block_size: int | None = None,
-) -> bool:
+def is_uxs_for_graph_vectorized(graph: PortLabeledGraph, seq: Sequence[int]) -> bool:
     """Certify ``seq`` on one graph: coverage from *every* start node.
 
     Same answer as the scalar per-start certification, computed as one
-    multi-start walk with an early exit on full coverage.  Pass
-    ``block_size`` to bound working memory at ``O(block * n)`` on huge
-    graphs (see :func:`covered_counts`).
+    multi-start walk with an early exit on full coverage.
     """
     if graph.n == 1:
         return True
-    return bool(
-        (covered_counts(graph, seq, block_size=block_size) == graph.n).all()
-    )
+    return bool((covered_counts(graph, seq) == graph.n).all())

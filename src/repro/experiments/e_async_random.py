@@ -49,11 +49,12 @@ from repro.symmetry.feasibility import (
 from repro.symmetry.views import symmetric_pairs
 from repro.util.lcg import derive_seed
 
-__all__ = ["run", "SCENARIO", "make_shards", "run_shard", "merge"]
+__all__ = ["SCENARIO", "make_shards", "run_shard", "merge"]
 
 #: Default experiment seed; the spec threads it to every shard, and
-#: ``run(seed=...)`` / the orchestrator's ``seed`` option reroot every
-#: derived stream (adversary schedules, random-walk coins) in one place.
+#: the orchestrator's ``seed`` option (``run_suite(seed=...)``)
+#: reroots every derived stream (adversary schedules, random-walk
+#: coins) in one place.
 DEFAULT_SEED = 1905
 
 _FAMILIES = {

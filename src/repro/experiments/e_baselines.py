@@ -37,7 +37,7 @@ from repro.sim.batch import run_rendezvous_batch
 from repro.sim.scheduler import run_rendezvous
 from repro.symmetry.feasibility import classify_stic
 
-__all__ = ["run", "SCENARIO", "make_shards", "run_shard", "merge", "universal_partner_sweep"]
+__all__ = ["SCENARIO", "make_shards", "run_shard", "merge", "universal_partner_sweep"]
 
 _CASES = {
     "ring6": ["ring n=6 sym", {"family": "oriented_ring", "n": 6}, 0, 3, 3],

@@ -20,7 +20,7 @@ from repro.hardness.render import render_fig1
 from repro.hardness.qtree import E, N, PORT_NAMES, S, W, opposite
 from repro.symmetry.views import view_classes
 
-__all__ = ["run", "SCENARIO", "make_shards", "run_shard", "merge"]
+__all__ = ["SCENARIO", "make_shards", "run_shard", "merge"]
 
 SCENARIO = ScenarioSpec(
     exp_id="FIG1",

@@ -31,7 +31,7 @@ from repro.hardness.lower_bound import (
 from repro.hardness.qhat import build_qhat
 from repro.hardness.zset import z_set
 
-__all__ = ["run", "SCENARIO", "make_shards", "run_shard", "merge"]
+__all__ = ["SCENARIO", "make_shards", "run_shard", "merge"]
 
 SCENARIO = ScenarioSpec(
     exp_id="EXP-T41",

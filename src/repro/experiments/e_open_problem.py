@@ -28,7 +28,7 @@ from repro.core.universal import universal_round_budget
 from repro.experiments.records import ExperimentRecord
 from repro.experiments.scenarios import RunConfig, ScenarioSpec
 
-__all__ = ["run", "SCENARIO", "make_shards", "run_shard", "merge"]
+__all__ = ["SCENARIO", "make_shards", "run_shard", "merge"]
 
 SCENARIO = ScenarioSpec(
     exp_id="EXP-OPEN",

@@ -33,7 +33,7 @@ from repro.graphs.families import (
 )
 from repro.symmetry.context import symmetry_context
 
-__all__ = ["run", "SCENARIO", "make_shards", "run_shard", "merge"]
+__all__ = ["SCENARIO", "make_shards", "run_shard", "merge"]
 
 SCENARIO = ScenarioSpec(
     exp_id="TAB-SHRINK",

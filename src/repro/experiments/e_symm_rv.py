@@ -27,7 +27,6 @@ from repro.symmetry.shrink import shrink
 from repro.symmetry.views import symmetric_pairs
 
 __all__ = [
-    "run",
     "SCENARIO",
     "make_shards",
     "run_shard",

@@ -22,7 +22,7 @@ from repro.experiments.records import ExperimentRecord
 from repro.experiments.scenarios import RunConfig, ScenarioSpec, build_graph
 from repro.symmetry.feasibility import classify_stic
 
-__all__ = ["run", "SCENARIO", "make_shards", "run_shard", "merge"]
+__all__ = ["SCENARIO", "make_shards", "run_shard", "merge"]
 
 _RING4 = {"family": "oriented_ring", "n": 4}
 _RING5 = {"family": "oriented_ring", "n": 5}

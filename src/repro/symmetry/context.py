@@ -35,10 +35,15 @@ and monotone, so any fair relaxation schedule (dense sweeps, blocked
 worklist, per-pair BFS) lands on identical int64 values.
 
 Derived products (symmetric pairs, per-pair feasibility verdicts,
-witness reconstruction) are served from the cached arrays.  The scalar
-functions in :mod:`~repro.symmetry.views`, :mod:`~repro.symmetry.shrink`
-and :mod:`~repro.symmetry.feasibility` are thin wrappers over this
-kernel; their outputs are unchanged.
+witness reconstruction) are served from the cached arrays.  The
+whole-graph consumers — ``shrink_matrix``, ``enumerate_stics`` and the
+feasibility atlas — read the dense all-pairs matrix: they produce
+``O(n^2)`` output anyway.  Per-pair queries
+(:meth:`~SymmetryContext.verdicts_for_pairs`, ``delay_profile``) take
+the blocked path.  The scalar functions in
+:mod:`~repro.symmetry.views`, :mod:`~repro.symmetry.shrink` and
+:mod:`~repro.symmetry.feasibility` are thin wrappers over this kernel;
+their outputs are unchanged.
 
 Contexts are memoized per graph (keyed by graph equality) in an LRU
 bounded by **approximate retained bytes** (default 256 MiB, see
@@ -141,9 +146,8 @@ class SymmetryContext:
 
     For graphs too large for any dense ``n x n`` array, use the blocked
     API instead of the dense properties: :meth:`distances_block`,
-    :meth:`shrink_pairs`, :meth:`shrink_block`,
-    :meth:`verdicts_for_pairs`, and :meth:`shrink_all_into` with a
-    memory-mapped output.
+    :meth:`shrink_pairs`, :meth:`verdicts_for_pairs`, and
+    :meth:`shrink_all_into` with a memory-mapped output.
     """
 
     __slots__ = ("graph", "_colors", "_distances", "_shrink")
@@ -562,24 +566,6 @@ class SymmetryContext:
                     result, key_slot[lo:hi], dist_rows[local, key_y[lo:hi]]
                 )
         return result
-
-    def shrink_block(self, rows: object) -> np.ndarray:
-        """Shrink rows ``S[rows, :]`` (fresh ``(len(rows), n)``).
-
-        Served as a slice of :attr:`shrink_all` when that is already
-        materialized; otherwise computed via :meth:`shrink_pairs`
-        without any dense ``n x n`` allocation.  Intended for a handful
-        of rows at large ``n`` — materialize :attr:`shrink_all` (or
-        :meth:`shrink_all_into` a memmap) for full sweeps.
-        """
-        n = self.graph.n
-        sources = _as_index_array(rows, n, "shrink rows")
-        if self._shrink is not None:
-            return np.array(self._shrink[sources])
-        targets = np.arange(n, dtype=np.int64)
-        us = np.repeat(sources, n)
-        vs = np.tile(targets, len(sources))
-        return self.shrink_pairs(us, vs).reshape(len(sources), n)
 
     def shrink_value(self, u: int, v: int) -> int:
         """``Shrink(u, v)`` of Definition 3.1 (0 when ``u == v``)."""

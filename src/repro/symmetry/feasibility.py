@@ -157,7 +157,6 @@ def empirical_feasibility_atlas(
     *,
     max_rounds: int | Callable[[int, int, int, FeasibilityVerdict], int],
     oracle_factory: Callable[[int], object] | None = None,
-    block_size: int | None = None,
 ) -> list[AtlasEntry]:
     """Classify and *simulate* every STIC with delay up to ``max_delta``.
 
@@ -169,69 +168,34 @@ def empirical_feasibility_atlas(
     callers re-deriving the symmetry data per STIC; feasible STICs
     should get their algorithm's meeting budget, infeasible ones any
     observation horizon.
-
-    With ``block_size`` the atlas streams: the STIC enumeration runs
-    blocked (``Shrink`` via batched per-pair BFS, no dense matrix) and
-    the simulation engine processes ``block_size`` start rows' worth of
-    STICs per batch, so engine working state stays ``O(block)`` cells.
-    The entry list — the caller-visible product — is identical.
     """
     # Local import: repro.core.stic imports this module at load time.
     from repro.core.stic import enumerate_stics
 
-    entries: list[AtlasEntry] = []
-    for stics, verdicts in _atlas_batches(
-        enumerate_stics(graph, max_delta, block_size=block_size),
-        graph.n if block_size is None else block_size,
-        graph.n,
-        max_delta,
-    ):
-        budget: int | Callable[[int, int, int], int]
-        if callable(max_rounds):
-            budgets = {
-                key: max_rounds(*key, verdict)
-                for key, verdict in zip(stics, verdicts)
-            }
-            budget = lambda u, v, delta: budgets[(u, v, delta)]
-        else:
-            budget = max_rounds
-        results = run_rendezvous_batch(
-            graph,
-            stics,
-            algorithm,
-            max_rounds=budget,
-            oracle_factory=oracle_factory,
-        )
-        entries.extend(
-            AtlasEntry(u, v, delta, verdict, result)
-            for (u, v, delta), verdict, result in zip(stics, verdicts, results)
-        )
-    return entries
-
-
-def _atlas_batches(
-    stream: "Iterable[tuple[object, FeasibilityVerdict]]",
-    block_rows: int,
-    n: int,
-    max_delta: int,
-):
-    """Group a (STIC, verdict) stream into per-row-block batches.
-
-    One batch holds the STICs of ``block_rows`` consecutive ``u`` rows
-    (at most ``block_rows * n * (max_delta + 1)`` cells), so the
-    streamed atlas never materializes the full cell list.
-    """
-    cap = max(1, block_rows) * max(n, 1) * (max_delta + 1)
     stics: list[tuple[int, int, int]] = []
     verdicts: list[FeasibilityVerdict] = []
-    for stic, verdict in stream:
-        stics.append((stic.u, stic.v, stic.delta))  # type: ignore[attr-defined]
+    for stic, verdict in enumerate_stics(graph, max_delta):
+        stics.append((stic.u, stic.v, stic.delta))
         verdicts.append(verdict)
-        if len(stics) >= cap:
-            yield stics, verdicts
-            stics, verdicts = [], []
-    if stics:
-        yield stics, verdicts
+    budget: int | Callable[[int, int, int], int]
+    if callable(max_rounds):
+        budgets = {
+            key: max_rounds(*key, verdict) for key, verdict in zip(stics, verdicts)
+        }
+        budget = lambda u, v, delta: budgets[(u, v, delta)]
+    else:
+        budget = max_rounds
+    results = run_rendezvous_batch(
+        graph,
+        stics,
+        algorithm,
+        max_rounds=budget,
+        oracle_factory=oracle_factory,
+    )
+    return [
+        AtlasEntry(u, v, delta, verdict, result)
+        for (u, v, delta), verdict, result in zip(stics, verdicts, results)
+    ]
 
 
 #: Classification constants for the asynchronous atlas, ordered from

@@ -8,7 +8,6 @@ the hard ones?*, *what do the symmetry orbits look like?*.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,60 +24,15 @@ __all__ = [
 ]
 
 
-def shrink_matrix(
-    graph: PortLabeledGraph,
-    *,
-    block_size: int | None = None,
-    memmap_path: str | os.PathLike[str] | None = None,
-) -> np.ndarray:
+def shrink_matrix(graph: PortLabeledGraph) -> np.ndarray:
     """Matrix ``S`` with ``S[u, v] = Shrink(u, v)`` for symmetric pairs
     and ``-1`` for non-symmetric pairs (where the notion is moot and
     every delay works anyway).  ``S[v, v] = 0``.
 
-    Default: one read of the kernel's all-pairs Shrink matrix, filled
-    through the color-bucketed symmetric-pair arrays (no dense boolean
-    mask).  With ``block_size`` and/or ``memmap_path`` the matrix is
-    produced *streamed*: rows are written a block at a time and the
-    Shrink values of the symmetric pairs come from the kernel's batched
-    per-pair product BFS — nothing dense beyond one ``block x n`` slab
-    is ever resident, and with ``memmap_path`` the atlas itself lives
-    on disk (``np.lib.format.open_memmap``, a standard ``.npy`` file),
-    so huge-``n`` atlases never enter RAM at once.  Values are
-    bit-identical between the two paths.
+    One read of the kernel's all-pairs Shrink matrix, filled through
+    the color-bucketed symmetric-pair arrays (no dense boolean mask).
     """
-    context = symmetry_context(graph)
-    if block_size is None and memmap_path is None:
-        return context.shrink_matrix()
-    n = graph.n
-    out: np.ndarray
-    if memmap_path is not None:
-        out = np.lib.format.open_memmap(
-            os.fspath(memmap_path), mode="w+", dtype=np.int64, shape=(n, n)
-        )
-    else:
-        out = np.empty((n, n), dtype=np.int64)
-    block = min(n, int(block_size) if block_size is not None else n)
-    if block <= 0:
-        raise ValueError(f"block_size must be positive, got {block_size}")
-
-    # Both orientations of every symmetric pair, sorted by row, so each
-    # row block slices its pairs out with two binary searches.
-    us, vs = context.symmetric_pair_arrays()
-    rows = np.concatenate([us, vs])
-    cols = np.concatenate([vs, us])
-    values = context.shrink_pairs(rows, cols)
-    order = np.argsort(rows, kind="stable")
-    rows, cols, values = rows[order], cols[order], values[order]
-
-    diagonal = np.arange(n, dtype=np.int64)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        slab = np.full((stop - start, n), -1, dtype=np.int64)
-        slab[diagonal[start:stop] - start, diagonal[start:stop]] = 0
-        lo, hi = np.searchsorted(rows, (start, stop))
-        slab[rows[lo:hi] - start, cols[lo:hi]] = values[lo:hi]
-        out[start:stop] = slab
-    return out
+    return symmetry_context(graph).shrink_matrix()
 
 
 def symmetry_orbits(graph: PortLabeledGraph) -> list[list[int]]:

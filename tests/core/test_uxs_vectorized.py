@@ -144,7 +144,7 @@ def test_apply_uxs_all_exhaustive_small_class():
 def test_covered_counts_match_scalar_visit_sets():
     for graph in RANDOM_GRAPHS:
         seq = random_sequence(derive_seed("vec-cover", graph.n), 2 * graph.n, 300)
-        counts = covered_counts(graph, seq, stop_when_all_covered=False)
+        counts = covered_counts(graph, seq)
         for start in range(graph.n):
             assert int(counts[start]) == len(set(apply_uxs(graph, start, seq)))
 
@@ -159,7 +159,7 @@ def test_huge_offsets_stay_cheap_and_bit_identical():
     matrix = apply_uxs_all(graph, seq)
     for start in range(graph.n):
         assert list(matrix[start]) == apply_uxs(graph, start, seq)
-    counts = covered_counts(graph, seq, stop_when_all_covered=False)
+    counts = covered_counts(graph, seq)
     for start in range(graph.n):
         assert int(counts[start]) == len(set(apply_uxs(graph, start, seq)))
     assert is_uxs_for_graph_vectorized(graph, seq * 40) == is_uxs_for_graph_scalar(
@@ -170,14 +170,9 @@ def test_huge_offsets_stay_cheap_and_bit_identical():
 def test_covered_counts_chunk_size_is_observationally_neutral():
     graph = random_connected_graph(9, 4, seed=2)
     seq = random_sequence(3, 2 * graph.n, 700)
-    baseline = covered_counts(graph, seq, stop_when_all_covered=False)
+    baseline = covered_counts(graph, seq)
     for chunk in (1, 7, 64, 4096):
-        assert np.array_equal(
-            covered_counts(
-                graph, seq, chunk=chunk, stop_when_all_covered=False
-            ),
-            baseline,
-        )
+        assert np.array_equal(covered_counts(graph, seq, chunk=chunk), baseline)
 
 
 # ---------------------------------------------------------------------------

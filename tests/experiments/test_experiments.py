@@ -5,6 +5,8 @@ well-formed record.  (The heavy sweeps run from the benchmark harness;
 these tests keep the reproduction pipeline itself green.)
 """
 
+import importlib
+
 import pytest
 
 from repro.experiments.orchestrator import run_experiment, run_suite
@@ -39,6 +41,18 @@ class TestRecords:
         assert "MISMATCH" in rec.to_text()
         rec.passed = True
         assert "REPRODUCED" in rec.to_text()
+
+
+@pytest.mark.parametrize(
+    "module", sorted(SCENARIO_MODULES.values()) + ["repro.campaigns.driver"]
+)
+def test_driver_star_import_resolves_all(module):
+    """Every name a driver exports in ``__all__`` exists, so a star
+    import of the driver succeeds and binds all of them."""
+    namespace: dict = {}
+    exec(f"from {module} import *", namespace)
+    exported = importlib.import_module(module).__all__
+    assert set(exported) <= namespace.keys()
 
 
 @pytest.mark.parametrize(

@@ -3,14 +3,12 @@ kernel and the scalar references.
 
 Every blocked engine must be *bit-identical* to its dense counterpart:
 ``distances_block`` / the CSR ``distances_from`` BFS vs the scalar
-reference BFS, ``shrink_pairs`` / ``shrink_block`` / ``shrink_all_into``
-(any block size, including a memory-mapped output) vs the dense
-all-pairs matrix, the color-bucketed ``symmetric_pairs``/``orbits`` vs
-the dense-mask construction, and the streamed consumers
-(``shrink_matrix``, ``enumerate_stics``, ``empirical_feasibility_atlas``,
-``covered_counts``) vs their one-shot forms.  Coverage: 200+ seeded
-random connected graphs of mixed sizes and degrees, plus the exhaustive
-class of all port-labeled graphs on ``n <= 4`` nodes.
+reference BFS, ``shrink_pairs`` / ``shrink_all_into`` (any block size,
+including a memory-mapped output) vs the dense all-pairs matrix, and
+the color-bucketed ``symmetric_pairs``/``orbits`` vs the dense-mask
+construction.  Coverage: 200+ seeded random connected graphs of mixed
+sizes and degrees, plus the exhaustive class of all port-labeled graphs
+on ``n <= 4`` nodes.
 
 The byte-aware context-cache LRU (:func:`set_context_cache_limit`) is
 unit-tested here too: eviction accounting, lazy-growth re-enforcement,
@@ -21,8 +19,6 @@ import numpy as np
 import pytest
 
 import repro.symmetry.context as context_module
-from repro.core.stic import enumerate_stics
-from repro.exec.uxs import covered_counts
 from repro.graphs.enumeration import enumerate_port_labeled_graphs
 from repro.graphs.families import (
     hypercube,
@@ -38,8 +34,6 @@ from repro.symmetry.context import (
     set_context_cache_limit,
     symmetry_context,
 )
-from repro.symmetry.feasibility import empirical_feasibility_atlas
-from repro.symmetry.structure import shrink_matrix
 
 
 def random_pool():
@@ -118,10 +112,6 @@ def assert_blocked_matches(graph):
         blocked.shrink_pairs(us, vs, pair_chunk=5).reshape(n, n),
         shrink_dense,
     )
-    assert np.array_equal(
-        blocked.shrink_block(rows[: max(1, n // 2)]),
-        np.asarray(shrink_dense)[rows[: max(1, n // 2)]],
-    )
 
     # Blocked worklist value iteration, ragged and degenerate blocks.
     for block_size in (1, 3, n, n + 5):
@@ -195,78 +185,10 @@ def test_shrink_all_into_memmap(tmp_path):
         assert np.array_equal(on_disk, SymmetryContext(graph).shrink_all)
 
 
-def test_shrink_matrix_streamed_and_memmap(tmp_path):
-    for graph in (oriented_ring(8), random_connected_graph(9, 3, seed=1)):
-        expected = shrink_matrix(graph)
-        assert np.array_equal(shrink_matrix(graph, block_size=3), expected)
-        streamed = shrink_matrix(
-            graph, block_size=2, memmap_path=tmp_path / f"m{graph.n}.npy"
-        )
-        assert np.array_equal(streamed, expected)
-        assert np.array_equal(np.load(tmp_path / f"m{graph.n}.npy"), expected)
-
-
-def test_enumerate_stics_streamed_identical():
-    for graph in (oriented_ring(6), random_connected_graph(7, 3, seed=2)):
-        expected = list(enumerate_stics(graph, 2))
-        for block_size in (1, 2, graph.n):
-            assert list(
-                enumerate_stics(graph, 2, block_size=block_size)
-            ) == expected
-
-
-def test_atlas_streamed_identical():
-    from repro.sim.actions import Wait
-
-    def sitter(percept):
-        while True:
-            percept = yield Wait()
-
-    graph = oriented_ring(6)
-    expected = empirical_feasibility_atlas(graph, sitter, 1, max_rounds=20)
-    for block_size in (1, 2):
-        streamed = empirical_feasibility_atlas(
-            graph, sitter, 1, max_rounds=20, block_size=block_size
-        )
-        assert streamed == expected
-
-
-def test_atlas_streamed_identical_with_callable_budget():
-    from repro.sim.actions import Move
-
-    def mover(percept):
-        while True:
-            percept = yield Move(0)
-
-    def budget(u, v, delta, verdict):
-        return 12 if verdict.feasible else 6
-
-    graph = oriented_ring(5)
-    expected = empirical_feasibility_atlas(graph, mover, 1, max_rounds=budget)
-    streamed = empirical_feasibility_atlas(
-        graph, mover, 1, max_rounds=budget, block_size=2
-    )
-    assert streamed == expected
-
-
-def test_covered_counts_block_sizes():
-    seq = [0, 1, 0, 2, 1, 0, 3, 1]
-    for graph in (oriented_ring(7), random_connected_graph(9, 4, seed=5)):
-        expected = covered_counts(graph, seq)
-        for block_size in (1, 2, graph.n, graph.n + 3):
-            assert np.array_equal(
-                covered_counts(graph, seq, block_size=block_size), expected
-            )
-    with pytest.raises(ValueError, match="block_size must be positive"):
-        covered_counts(oriented_ring(5), seq, block_size=0)
-
-
 def test_blocked_api_validation():
     context = SymmetryContext(oriented_ring(6))
     with pytest.raises(ValueError, match="distance rows must lie in 0..5"):
         context.distances_block([6])
-    with pytest.raises(ValueError, match="shrink rows must lie in 0..5"):
-        context.shrink_block([-1])
     with pytest.raises(ValueError, match="pair endpoints must lie in 0..5"):
         context.shrink_pairs([0], [17])
     with pytest.raises(ValueError, match="equal length"):
@@ -277,10 +199,6 @@ def test_blocked_api_validation():
         context.shrink_all_into(block_size=0)
     with pytest.raises(ValueError, match="out must be an int64 array"):
         context.shrink_all_into(np.zeros((6, 6), dtype=np.int32))
-    with pytest.raises(ValueError, match="block_size must be positive"):
-        shrink_matrix(oriented_ring(6), block_size=-1)
-    with pytest.raises(ValueError, match="block_size must be positive"):
-        list(enumerate_stics(oriented_ring(6), 1, block_size=0))
 
 
 def test_shrink_pairs_state_budget_is_enforced():

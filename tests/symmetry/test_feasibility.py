@@ -127,3 +127,23 @@ class TestEmpiricalAtlas:
         assert any(not e.consistent for e in entries)
         for e in entries:
             assert e.consistent == (e.result.met == e.verdict.feasible)
+
+    def test_single_node_graph_has_empty_atlas(self):
+        """One node admits no STIC, so the one batched sweep gets no
+        cells and the atlas is empty under either budget form."""
+        from repro.graphs.port_graph import PortLabeledGraph
+        from repro.sim.actions import Wait
+        from repro.symmetry import empirical_feasibility_atlas
+
+        def sitter(percept):
+            while True:
+                percept = yield Wait()
+
+        g = PortLabeledGraph(1, [])
+        assert empirical_feasibility_atlas(g, sitter, 2, max_rounds=5) == []
+        assert (
+            empirical_feasibility_atlas(
+                g, sitter, 2, max_rounds=lambda u, v, delta, verdict: 5
+            )
+            == []
+        )
