@@ -6,30 +6,40 @@ Procedure SymmRV in each phase, would indeed be polynomial in n and
 delta."
 
 Same phase skeleton as :func:`repro.core.universal.universal_rv`, with
-the SymmRV segment removed.  It meets for every non-symmetric STIC and
+the SymmRV segment removed: its segment plan holds AsymmRV segments
+only, so in oracle mode the trace compiler expands every segment in
+closed form.  It meets for every non-symmetric STIC and
 runs forever on symmetric ones — the experiments use it to show where
 the exponential cost of UniversalRV actually comes from.
 """
 
 from __future__ import annotations
 
-from repro.core.asymm_rv import asymm_rv
-from repro.core.combinators import run_segment
+from collections.abc import Iterator
+
 from repro.core.pairing import pair, unpair
 from repro.core.profile import TUNED, Profile
-from repro.core.universal import UniversalOracle
+from repro.core.universal import (
+    AsymmSegment,
+    PlannedAlgorithm,
+    UniversalOracle,
+    label_oracle,
+)
 from repro.sim.actions import Perception
 from repro.sim.agent import AgentScript
 
-__all__ = ["asymm_only_rv", "make_asymm_only_algorithm", "asymm_only_round_budget"]
+__all__ = [
+    "asymm_only_rv",
+    "asymm_only_plan",
+    "make_asymm_only_algorithm",
+    "asymm_only_round_budget",
+]
 
 
-def asymm_only_rv(
-    percept: Perception,
-    profile: Profile = TUNED,
-    oracle: UniversalOracle | None = None,
-) -> AgentScript:
-    """UniversalRV without SymmRV; phases decode pairs ``(n, delta)``.
+def asymm_only_plan(
+    profile: Profile = TUNED, oracle: UniversalOracle | None = None
+) -> Iterator[AsymmSegment]:
+    """The segments of the variant: one AsymmRV segment per phase.
 
     Phase ``P`` assumes ``(n, delta_code) = f^-1(P)`` (the third
     coordinate of the triple is unnecessary once ``d`` is gone) and
@@ -37,27 +47,30 @@ def asymm_only_rv(
     to ``2 (P(n) + delta)`` — exactly the asymmetric half of a
     UniversalRV phase.
     """
-    if profile.view_mode == "oracle" and oracle is None:
-        raise ValueError("profile uses oracle view mode but no oracle was given")
+    labels = label_oracle(profile, oracle)
     phase = 1
     while True:
         n, delta_code = unpair(phase)
-        delta = delta_code - 1
-        raw = oracle.raw_label(n) if profile.view_mode == "oracle" else None
-        budget = profile.asymm_bound(n) + delta
-        percept = yield from run_segment(
-            percept, asymm_rv(percept, profile.asymm_params(n), raw), budget
-        )
+        budget = profile.asymm_bound(n) + delta_code - 1
+        yield AsymmSegment(profile.asymm_params(n), budget, labels)
         phase += 1
 
 
-def make_asymm_only_algorithm(profile: Profile = TUNED):
+def asymm_only_rv(
+    percept: Perception,
+    profile: Profile = TUNED,
+    oracle: UniversalOracle | None = None,
+) -> AgentScript:
+    """UniversalRV without SymmRV: the scripts of
+    :func:`asymm_only_plan`'s segments, one after another."""
+    for segment in asymm_only_plan(profile, oracle):
+        percept = yield from segment.script(percept)
+    return percept
+
+
+def make_asymm_only_algorithm(profile: Profile = TUNED) -> PlannedAlgorithm:
     """Algorithm factory for the scheduler (mirrors UniversalRV's)."""
-
-    def algorithm(percept: Perception, oracle: UniversalOracle | None = None):
-        return asymm_only_rv(percept, profile, oracle)
-
-    return algorithm
+    return PlannedAlgorithm(asymm_only_rv, asymm_only_plan, profile)
 
 
 def asymm_only_round_budget(profile: Profile, n: int, delta: int) -> int:

@@ -23,20 +23,34 @@ the equal duration matters.  See :mod:`repro.core.profile`.)
 By Theorem 3.1 rendezvous is achieved for every feasible STIC with no
 a priori knowledge; by Lemma 3.1 infeasible STICs admit no algorithm
 at all.
+
+The phase loop is a lazily consumed *segment plan*
+(:func:`universal_plan`): an :class:`AsymmSegment` per phase, then a
+:class:`SymmSegment` when ``delta >= d``.  :func:`universal_rv` runs
+each segment's script in turn.  In oracle mode an AsymmRV segment is
+also index arithmetic (:meth:`AsymmSegment.tiling`), so the trace
+compiler expands it with numpy instead of stepping the generator; the
+algorithm objects of :func:`make_universal_algorithm` carry the plan
+for that (:class:`PlannedAlgorithm`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import partial
 
-from repro.core.asymm_rv import asymm_rv
+import numpy as np
+
+from repro.core.asymm_rv import AsymmParams, asymm_rv, finalize_label
 from repro.core.combinators import run_segment
 from repro.core.labels import encode_graph_view
 from repro.core.pairing import triple, untriple
 from repro.core.profile import TUNED, Profile
+from repro.core.schedules import schedule_word
 from repro.core.symm_rv import symm_rv
-from repro.core.uxs import is_uxs_for_graph
+from repro.core.uxs import apply_uxs, is_uxs_for_graph
+from repro.exec.trace import TiledWalk
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.sim.actions import Perception
 from repro.sim.agent import AgentScript
@@ -49,6 +63,10 @@ from repro.symmetry.feasibility import (
 
 __all__ = [
     "universal_rv",
+    "universal_plan",
+    "AsymmSegment",
+    "SymmSegment",
+    "PlannedAlgorithm",
     "UniversalOracle",
     "make_universal_algorithm",
     "phase_duration",
@@ -91,14 +109,81 @@ class UniversalOracle:
         return self._cache[depth]
 
 
-def universal_rv(
-    percept: Perception,
-    profile: Profile = TUNED,
-    oracle: UniversalOracle | None = None,
-) -> AgentScript:
-    """Agent script for Algorithm UniversalRV (runs until rendezvous)."""
-    if profile.view_mode == "oracle" and oracle is None:
+@dataclass(frozen=True)
+class AsymmSegment:
+    """``AsymmRV(n)`` for ``budget`` rounds, backtracked, padded to
+    ``2 * budget`` rounds: the first segment of a UniversalRV phase.
+
+    ``oracle`` supplies the view label in oracle mode; ``None`` means
+    the agent reconstructs its view by walking (faithful mode).
+    """
+
+    params: AsymmParams
+    budget: int
+    oracle: UniversalOracle | None
+
+    def script(self, percept: Perception) -> AgentScript:
+        raw = None if self.oracle is None else self.oracle.raw_label(self.params.n)
+        return run_segment(percept, asymm_rv(percept, self.params, raw), self.budget)
+
+    def tiling(self, graph: PortLabeledGraph, home: int) -> TiledWalk | None:
+        """:meth:`script` run from ``home``, in closed form.
+
+        In oracle mode the segment waits ``2 * view_budget`` rounds,
+        then each active slot walks the UXS from home and back, the
+        same nodes every time.  There is no closed form in faithful
+        mode, nor at a node of degree 0, where the script's first move
+        raises.
+        """
+        if self.oracle is None or graph.degree(home) == 0:
+            return None
+        walk = apply_uxs(graph, home, self.params.uxs)
+        label = finalize_label(self.oracle.raw_label(self.params.n), self.params)
+        return TiledWalk(
+            lead=2 * self.params.view_budget,
+            slot=np.array(walk[1:] + walk[-2::-1], dtype=np.int64),
+            word=schedule_word(label),
+            budget=self.budget,
+        )
+
+
+@dataclass(frozen=True)
+class SymmSegment:
+    """``SymmRV(n, d, delta)`` under the ``T(n, d, delta)`` cap
+    ``budget``, backtracked, padded to ``2 * budget`` rounds.  It has
+    no closed form: the trace compiler steps its script."""
+
+    n: int
+    d: int
+    delta: int
+    uxs: tuple[int, ...]
+    budget: int
+
+    def script(self, percept: Perception) -> AgentScript:
+        inner = symm_rv(percept, self.n, self.d, self.delta, uxs=self.uxs)
+        return run_segment(percept, inner, self.budget)
+
+    def tiling(self, graph: PortLabeledGraph, home: int) -> None:
+        return None
+
+
+def label_oracle(
+    profile: Profile, oracle: UniversalOracle | None
+) -> UniversalOracle | None:
+    """The oracle AsymmRV segments read labels from: ``oracle`` in
+    oracle view mode (where it is required), ``None`` in faithful mode."""
+    if profile.view_mode != "oracle":
+        return None
+    if oracle is None:
         raise ValueError("profile uses oracle view mode but no oracle was given")
+    return oracle
+
+
+def universal_plan(
+    profile: Profile = TUNED, oracle: UniversalOracle | None = None
+) -> Iterator[AsymmSegment | SymmSegment]:
+    """The segments of Algorithm UniversalRV, phase by phase, forever."""
+    labels = label_oracle(profile, oracle)
     phase = 1
     while True:
         # g is a bijection on positive integers; delays are non-negative,
@@ -106,38 +191,64 @@ def universal_rv(
         n, d, delta_code = untriple(phase)
         delta = delta_code - 1
         if d < n:
-            raw = oracle.raw_label(n) if profile.view_mode == "oracle" else None
-            asymm_budget = profile.asymm_bound(n) + delta
-            percept = yield from run_segment(
-                percept,
-                asymm_rv(percept, profile.asymm_params(n), raw),
-                asymm_budget,
+            yield AsymmSegment(
+                profile.asymm_params(n), profile.asymm_bound(n) + delta, labels
             )
             if delta >= d:
-                symm_budget = profile.symm_bound(n, d, delta)
-                percept = yield from run_segment(
-                    percept,
-                    symm_rv(percept, n, d, delta, uxs=profile.uxs(n)),
-                    symm_budget,
+                yield SymmSegment(
+                    n, d, delta, profile.uxs(n), profile.symm_bound(n, d, delta)
                 )
         phase += 1
 
 
-def make_universal_algorithm(
+def universal_rv(
+    percept: Perception,
     profile: Profile = TUNED,
-) -> Callable[..., AgentScript]:
+    oracle: UniversalOracle | None = None,
+) -> AgentScript:
+    """Agent script for Algorithm UniversalRV (runs until rendezvous):
+    the scripts of :func:`universal_plan`'s segments, one after another."""
+    for segment in universal_plan(profile, oracle):
+        percept = yield from segment.script(percept)
+    return percept
+
+
+class PlannedAlgorithm:
+    """The algorithm object of a segment-plan algorithm.
+
+    Called as ``algorithm(percept, oracle=None)`` it starts the agent
+    script, like any algorithm factory's output.  Under an oracle-mode
+    profile, ``segment_plan(oracle)`` returns the same phase loop as a
+    segment iterator, which :class:`repro.exec.trace.TraceCompiler`
+    compiles without running the script; under a faithful profile
+    ``segment_plan`` is ``None`` and the compiler runs the script.
+    """
+
+    def __init__(
+        self,
+        script: Callable[[Perception, Profile, UniversalOracle | None], AgentScript],
+        plan: Callable[..., Iterator[AsymmSegment | SymmSegment]],
+        profile: Profile,
+    ) -> None:
+        self._script = script
+        self._profile = profile
+        self.segment_plan = (
+            partial(plan, profile) if profile.view_mode == "oracle" else None
+        )
+
+    def __call__(
+        self, percept: Perception, oracle: UniversalOracle | None = None
+    ) -> AgentScript:
+        return self._script(percept, self._profile, oracle)
+
+
+def make_universal_algorithm(profile: Profile = TUNED) -> PlannedAlgorithm:
     """Algorithm factory for :func:`repro.sim.scheduler.run_rendezvous`.
 
     With an oracle-mode profile the scheduler must be given per-agent
     oracles (see :func:`rendezvous`, which wires everything up).
     """
-
-    def algorithm(
-        percept: Perception, oracle: UniversalOracle | None = None
-    ) -> AgentScript:
-        return universal_rv(percept, profile, oracle)
-
-    return algorithm
+    return PlannedAlgorithm(universal_rv, universal_plan, profile)
 
 
 def phase_duration(profile: Profile, phase: int) -> int:

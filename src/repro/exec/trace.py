@@ -15,6 +15,14 @@ positions.
 A start compiled alone (every start in oracle mode) keeps a resumable
 cursor instead: a deeper horizon continues from where the last compile
 stopped, so adaptive deepening costs time linear in the final horizon.
+In oracle mode, an algorithm that carries a *segment plan* (UniversalRV
+and its asymm-only variant, see :class:`repro.core.universal.
+PlannedAlgorithm`) is not run as one generator at all: its cursor walks
+the plan's segments, expands each :class:`TiledWalk` segment in closed
+form with numpy, and steps a generator only for scripted segments.
+Such a cursor resumes at the last completed segment.  The generator
+path stays the differential oracle for it (``tests/exec/
+test_segment_trace.py``).
 
 The compiled :class:`PortTrace` is the IR every engine consumes:
 
@@ -31,8 +39,10 @@ The compiled :class:`PortTrace` is the IR every engine consumes:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Callable, NoReturn
+from typing import Any, Callable, NoReturn
 
 import numpy as np
 
@@ -40,7 +50,13 @@ from repro.graphs.port_graph import PortLabeledGraph
 from repro.sim.actions import Action, Move, Perception, Wait, WaitBlock
 from repro.sim.agent import AgentScript
 
-__all__ = ["BadPortChoice", "PortTrace", "TraceCompiler", "raise_for_stic"]
+__all__ = [
+    "BadPortChoice",
+    "PortTrace",
+    "TiledWalk",
+    "TraceCompiler",
+    "raise_for_stic",
+]
 
 
 class _Stop:
@@ -237,6 +253,133 @@ class _Cursor:
         self.tail_waits = 0
 
 
+@dataclass(frozen=True)
+class TiledWalk:
+    """Closed form of a segment that tiles one walk over an activity word.
+
+    Run from its home node, the segment's action stream is the one
+    :func:`repro.core.combinators.run_segment` makes of an AsymmRV
+    script in oracle mode:
+
+    1. for ``budget`` rounds: wait ``lead`` rounds, then run slots
+       ``k = 0, 1, ...`` of ``len(slot)`` rounds each; slot ``k`` moves
+       through ``slot`` (the node reached by each move, ending back at
+       home) when ``word[k % len(word)]`` is 1 and waits the slot out
+       otherwise.  Whatever action the budget cuts is cut short;
+    2. one move per recorded move, back along the whole trail;
+    3. a wait until ``2 * budget`` rounds from the start.
+
+    Each wait above is one wait action (one ``WaitBlock``).
+    """
+
+    lead: int
+    slot: np.ndarray
+    word: tuple[int, ...]
+    budget: int
+
+
+def _tiled_actions(
+    tiling: TiledWalk, home: int, start: int
+) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
+    """The actions of ``tiling`` begun at clock ``start``: move clocks,
+    the node each move reaches, and the start and end clocks of each
+    wait action, all in order."""
+    budget, slot = tiling.budget, tiling.slot
+    period = len(slot)
+    lead = min(tiling.lead, budget)
+    wait_starts: list[int] = []
+    wait_ends: list[int] = []
+    if lead:
+        wait_starts.append(start)
+        wait_ends.append(start + lead)
+    full, part = divmod(budget - lead, period)
+    active = np.resize(np.asarray(tiling.word, dtype=bool), full + (part > 0))
+    base = start + lead
+    slots = np.flatnonzero(active[:full])
+    clocks = [(base + slots[:, None] * period + np.arange(period)).ravel()]
+    nodes = [np.tile(slot, len(slots))]
+    if part and active[full]:
+        clocks.append(base + full * period + np.arange(part))
+        nodes.append(slot[:part])
+    for k in np.flatnonzero(~active).tolist():
+        wait_starts.append(base + k * period)
+        wait_ends.append(base + min((k + 1) * period, budget - lead))
+    trail = np.concatenate(nodes)
+    moves = len(trail)
+    if moves:
+        # Backtracking visits the trail's nodes in reverse, ending home.
+        clocks.append(start + budget + np.arange(moves))
+        nodes.append(np.concatenate(([home], trail[:-1]))[::-1])
+    if budget > moves:
+        wait_starts.append(start + budget + moves)
+        wait_ends.append(start + 2 * budget)
+    return (
+        np.concatenate(clocks).astype(np.int64, copy=False),
+        np.concatenate(nodes).astype(np.int64, copy=False),
+        wait_starts,
+        wait_ends,
+    )
+
+
+def _take(
+    clocks: np.ndarray,
+    wait_starts: list[int],
+    wait_ends: list[int],
+    start: int,
+    horizon: int,
+    tail_waits: int,
+) -> tuple[int, int, int, bool]:
+    """Apply the compile loop's stopping rule to a segment's actions:
+    every action that begins at a clock ``<= horizon`` runs.
+
+    Returns the number of moves run, the clock after the last action
+    run, the tail-wait count there, and whether every action ran.
+    """
+    moves = int(np.searchsorted(clocks, horizon, side="right"))
+    waits = bisect_right(wait_starts, horizon)
+    last_move = int(clocks[moves - 1]) if moves else -1
+    done = moves == len(clocks) and waits == len(wait_starts)
+    if waits and wait_starts[waits - 1] > last_move:
+        tail = waits - bisect_right(wait_starts, last_move)
+        return moves, wait_ends[waits - 1], tail + (0 if moves else tail_waits), done
+    if moves:
+        return moves, last_move + 1, 0, done
+    return 0, start, tail_waits, done
+
+
+class _PlanCursor:
+    """Resumable compile state of one start on the segment-plan path,
+    as of the last segment that ran to its end.
+
+    ``segment`` is the segment to run next (``None`` until it is drawn
+    from ``segments``); ``times``/``nodes`` hold the trace breakpoints
+    of the completed segments in chunks, the first being the start's.
+    ``tilings`` memoizes closed forms by segment: equal segments recur
+    across phases, and a deeper horizon expands a cut segment again.
+    """
+
+    __slots__ = (
+        "segments",
+        "segment",
+        "tilings",
+        "clock",
+        "entry",
+        "tail_waits",
+        "times",
+        "nodes",
+    )
+
+    def __init__(self, segments: Iterator[Any], start: int) -> None:
+        self.segments = segments
+        self.segment: Any = None
+        self.tilings: dict[Any, TiledWalk | None] = {}
+        self.clock = 0
+        self.entry = -1
+        self.tail_waits = 0
+        self.times = [np.zeros(1, dtype=np.int64)]
+        self.nodes = [np.array([start], dtype=np.int64)]
+
+
 class TraceCompiler:
     """Compiles and caches :class:`PortTrace` objects for one
     ``(graph, algorithm)`` pair; reusable across batch calls — and
@@ -253,8 +396,15 @@ class TraceCompiler:
         self._graph = graph
         self._algorithm = algorithm
         self._oracle_factory = oracle_factory
+        # A plan needs the start's oracle: without one, the generator runs.
+        self._plan: Callable[[object], Iterator[Any]] | None = (
+            getattr(algorithm, "segment_plan", None)
+            if oracle_factory is not None
+            else None
+        )
         self._trie: dict[tuple[int, int], _TrieNode] = {}
         self._cursors: dict[int, _Cursor] = {}
+        self._plan_cursors: dict[int, _PlanCursor] = {}
         self._cache: dict[int, PortTrace] = {}
         # Plain-list mirrors of the successor tables: python-int indexing
         # is what the singleton fast path spends its time on.
@@ -282,7 +432,10 @@ class TraceCompiler:
         if jobs:
             horizon = max(horizons[s] for s in jobs)
             starts = sorted(set(jobs))
-            if self._oracle_factory is not None or len(starts) == 1:
+            if self._plan is not None:
+                for s in starts:
+                    self._run_planned(s, horizon)
+            elif self._oracle_factory is not None or len(starts) == 1:
                 # Oracles may depend on the start node, so classes never
                 # merge: each start resumes its own cursor.
                 for s in starts:
@@ -454,6 +607,145 @@ class TraceCompiler:
             tail_waits=tail_waits,
         )
 
+    def _run_planned(self, start: int, horizon: int) -> None:
+        """Compile one start through ``horizon`` from the algorithm's
+        segment plan, resuming its cursor at the last completed segment.
+
+        Every segment begins and ends at the start node.  A segment
+        with a :class:`TiledWalk` closed form is expanded with numpy;
+        any other segment's script is stepped like a generator.  The
+        trace equals :meth:`_run_single`'s on the algorithm itself.
+        """
+        cur = self._plan_cursors.get(start)
+        if cur is None:
+            assert self._plan is not None and self._oracle_factory is not None
+            segments = self._plan(self._oracle_factory(start))
+            cur = self._plan_cursors[start] = _PlanCursor(segments, start)
+        clock, entry, tail_waits = cur.clock, cur.entry, cur.tail_waits
+        degree = self._deg_list[start]
+        times: list[np.ndarray] = []
+        nodes: list[np.ndarray] = []
+        complete = False
+        error: Exception | None = None
+        while clock <= horizon:
+            try:
+                segment = cur.segment
+                if segment is None:
+                    segment = cur.segment = next(cur.segments)
+                if segment not in cur.tilings:
+                    cur.tilings[segment] = segment.tiling(self._graph, start)
+                tiling = cur.tilings[segment]
+                if tiling is None:
+                    percept = Perception(
+                        degree=degree,
+                        entry_port=(None if entry < 0 else entry),
+                        clock=clock,
+                    )
+                    script = segment.script(percept)
+            except StopIteration:
+                complete = True
+                break
+            except Exception as exc:  # agent-code failure: deterministic
+                error = exc
+                break
+            if tiling is not None:
+                move_clocks, move_nodes, waits_at, waits_end = _tiled_actions(
+                    tiling, start, clock
+                )
+                count, end, tail, done = _take(
+                    move_clocks, waits_at, waits_end, clock, horizon, tail_waits
+                )
+                move_clocks, move_nodes = move_clocks[:count], move_nodes[:count]
+                # The backtrack's last move re-enters home by port 0,
+                # the port the walk left by.
+                entry_after = 0 if count else entry
+            else:
+                outcome = self._step_script(
+                    script, start, entry, clock, horizon, tail_waits
+                )
+                move_clocks, move_nodes, end, tail, entry_after, status = outcome
+                done = status is _STOP
+                if isinstance(status, _Raise):
+                    error = status.exc
+            times.append(move_clocks + 1)
+            nodes.append(move_nodes)
+            clock, tail_waits = end, tail
+            if not done:
+                break
+            cur.segment = None
+            cur.times += times
+            cur.nodes += nodes
+            times, nodes = [], []
+            entry = cur.entry = entry_after
+            cur.clock, cur.tail_waits = clock, tail_waits
+        if complete or error is not None:
+            # Final: the trace is sufficient for every later horizon.
+            del self._plan_cursors[start]
+        cur.times = [np.concatenate(cur.times)]
+        cur.nodes = [np.concatenate(cur.nodes)]
+        self._cache[start] = PortTrace(
+            start=start,
+            times=np.concatenate(cur.times + times),
+            nodes=np.concatenate(cur.nodes + nodes),
+            valid_through=clock,
+            complete=complete,
+            error=error,
+            tail_waits=tail_waits,
+        )
+
+    def _step_script(
+        self,
+        script: AgentScript,
+        pos: int,
+        entry: int,
+        clock: int,
+        horizon: int,
+        tail_waits: int,
+    ) -> tuple[np.ndarray, np.ndarray, int, int, int, object]:
+        """Step a fresh segment script until it returns, raises, or
+        starts an action past ``horizon`` (the stepping of
+        :meth:`_run_single`).  Returns its move clocks and nodes, the
+        clock, tail-wait count and entry port after it, and ``_STOP``,
+        a ``_Raise``, or ``None`` when the horizon cut it."""
+        deg = self._deg_list
+        succ = self._succ_list
+        succ_port = self._succ_port_list
+        move_clocks: list[int] = []
+        move_pos: list[int] = []
+        status: object = None
+        first = True
+        while clock <= horizon:
+            percept = Perception(
+                degree=deg[pos], entry_port=(None if entry < 0 else entry), clock=clock
+            )
+            action = self._advance(script, percept, first=first)
+            first = False
+            if action is _STOP or isinstance(action, _Raise):
+                status = action
+                break
+            if isinstance(action, Move):
+                move_clocks.append(clock)
+                row = action.port
+                entry = succ_port[pos][row]
+                pos = succ[pos][row]
+                move_pos.append(pos)
+                clock += 1
+                tail_waits = 0
+            elif isinstance(action, Wait):
+                clock += 1
+                tail_waits += 1
+            else:
+                clock += action.rounds
+                tail_waits += 1
+        return (
+            np.asarray(move_clocks, dtype=np.int64),
+            np.asarray(move_pos, dtype=np.int64),
+            clock,
+            tail_waits,
+            entry,
+            status,
+        )
+
     def _run_group(self, group: _Group, horizon: int) -> None:
         graph = self._graph
         degrees = graph.degrees
@@ -465,17 +757,20 @@ class TraceCompiler:
             if g.stopped or g.error is not None or g.clock > horizon:
                 self._finalize(g)
                 continue
-            degs = degrees[g.pos]
-            uniform = bool((degs == degs[0]).all()) and bool(
-                (g.entry == g.entry[0]).all()
-            )
+            # Plain lists: classes are small, and numpy's per-call cost
+            # dominates a comparison of a few elements.
+            degs = degrees[g.pos].tolist()
+            entries = g.entry.tolist()
+            uniform = degs.count(degs[0]) == len(degs) and entries.count(
+                entries[0]
+            ) == len(entries)
             if uniform:
                 parts: list[tuple[int, int, np.ndarray | None]] = [
-                    (int(degs[0]), int(g.entry[0]), None)
+                    (degs[0], entries[0], None)
                 ]
             else:
                 buckets: dict[tuple[int, int], list[int]] = {}
-                for i, (d, e) in enumerate(zip(degs.tolist(), g.entry.tolist())):
+                for i, (d, e) in enumerate(zip(degs, entries)):
                     buckets.setdefault((d, e), []).append(i)
                 parts = [
                     (d, e, np.array(idx, dtype=np.int64))

@@ -17,8 +17,11 @@ identical up to the time shift, so their port decisions coincide.)
 Sharded per STIC case: the long-horizon negative runs are the suite's
 dominant cost, and one batched sweep (:func:`repro.sim.batch.
 run_rendezvous_batch`) compiles each agent's trace once for every
-``delta < Shrink`` of the case.  The rows are identical to the scalar
-front door :func:`repro.core.universal.rendezvous` run per delta.
+``delta < Shrink`` of the case.  The trace is compiled from
+UniversalRV's segment plan: AsymmRV segments in closed form, SymmRV
+segments stepped (:mod:`repro.exec.trace`).  The rows are identical
+to the scalar front door :func:`repro.core.universal.rendezvous` run
+per delta.  The battery draws each seed's word once per case.
 """
 
 from __future__ import annotations
@@ -29,11 +32,12 @@ from repro.core.universal import (
     certify_instance,
     make_universal_algorithm,
 )
+from repro.exec.uxs import generate_offset_stream
 from repro.experiments.records import ExperimentRecord
 from repro.experiments.scenarios import RunConfig, ScenarioSpec, build_graph
 from repro.sim.batch import run_rendezvous_batch
 from repro.symmetry.shrink import shrink
-from repro.util.lcg import SplitMix64, derive_seed
+from repro.util.lcg import derive_seed
 
 __all__ = ["SCENARIO", "make_shards", "run_shard", "merge"]
 
@@ -107,28 +111,39 @@ SCENARIO = ScenarioSpec(
 )
 
 
-def _oblivious_battery(graph, u, v, delta, rounds, seeds) -> bool:
-    """Run random deterministic port-words from the STIC; True if any met.
+def _oblivious_battery(graph, u, v, deltas, rounds, seeds) -> list[bool]:
+    """Run random deterministic port-words from the STIC; for each
+    delay of ``deltas``, True if any word met.
 
     Each word is one fixed deterministic algorithm (both agents play
-    it identically); Lemma 3.1 says none can meet.
+    it identically); Lemma 3.1 says none can meet.  A word depends on
+    its seed only, so it is drawn once for every delay.
     """
-    succ = graph.succ_node_array
-    degrees = graph.degrees
-    for seed in seeds:
-        rng = SplitMix64(derive_seed("infeasible-battery", seed))
-        word = [rng.randrange(64) for _ in range(rounds)]
-        pos_a, pos_b = u, v
-        for t in range(rounds):
-            if t >= delta and pos_a == pos_b:
+    succ = graph.succ_node_array.tolist()
+    degrees = graph.degrees.tolist()
+    words = [
+        generate_offset_stream(
+            derive_seed("infeasible-battery", seed), 64, rounds
+        ).tolist()
+        for seed in seeds
+    ]
+    return [
+        any(_word_meets(succ, degrees, u, v, delta, word) for word in words)
+        for delta in deltas
+    ]
+
+
+def _word_meets(succ, degrees, u, v, delta, word) -> bool:
+    """Both agents play ``word``, the second from ``delta`` rounds on."""
+    pos_a, pos_b = u, v
+    for t, port in enumerate(word):
+        if t >= delta:
+            if pos_a == pos_b:
                 return True
-            pos_a = int(succ[pos_a, word[t] % int(degrees[pos_a])])
-            if t >= delta:
-                pos_b = int(succ[pos_b, word[t - delta] % int(degrees[pos_b])])
-        # The configuration after the last move, at time ``rounds``.
-        if rounds >= delta and pos_a == pos_b:
-            return True
-    return False
+            pos_b = succ[pos_b][word[t - delta] % degrees[pos_b]]
+        pos_a = succ[pos_a][port % degrees[pos_a]]
+    # The configuration after the last move, at time ``len(word)``.
+    return len(word) >= delta and pos_a == pos_b
 
 
 def make_shards(config: RunConfig) -> list[dict]:
@@ -159,17 +174,17 @@ def run_shard(config: RunConfig, shard: dict) -> dict:
         max_rounds=config.params["horizon"],
         oracle_factory=lambda start: UniversalOracle(graph, start, TUNED),
     )
+    batteries = _oblivious_battery(
+        graph,
+        u,
+        v,
+        range(s),
+        rounds=config.params["battery_rounds"],
+        seeds=range(config.params["battery_seeds"]),
+    )
     rows = []
     ok = True
-    for delta, result in enumerate(results):
-        battery = _oblivious_battery(
-            graph,
-            u,
-            v,
-            delta,
-            rounds=config.params["battery_rounds"],
-            seeds=range(config.params["battery_seeds"]),
-        )
+    for delta, (result, battery) in enumerate(zip(results, batteries)):
         ok = ok and not result.met and not battery
         rows.append(
             {

@@ -39,7 +39,10 @@ Requirements and caveats:
 * with ``oracle_factory`` set, each start node is compiled alone with
   no decision trie (an oracle may depend on the start), so only
   cross-STIC trace reuse remains — deepening resumes each start's
-  compile instead of restarting it;
+  compile instead of restarting it.  An algorithm that carries a
+  segment plan (UniversalRV and the asymm-only variant under an
+  oracle-mode profile) is compiled from the plan, its AsymmRV segments
+  in closed form, without running its generator;
 * an exception raised by agent code is re-raised only for STICs whose
   scalar simulation would actually reach the offending round before
   meeting or running out of budget, mirroring the scheduler.

@@ -9,6 +9,10 @@ continues where the last one stopped instead of restarting from clock
   fast-tier EXP-L31 case, batched at a horizon that takes several
   deepening rounds, agrees with :func:`repro.core.universal.rendezvous`
   on every ``delta < Shrink`` and on two feasible delays;
+* **the asymm-only variant against the scalar scheduler**: batched in
+  oracle mode (compiled from its segment plan), it agrees with
+  :func:`repro.sim.scheduler.run_rendezvous` on the same EXP-L31 STICs
+  and on non-symmetric pairs, where it meets;
 * **deepening is a one-shot compile**: a trace deepened round by round
   has the ``times``/``nodes`` arrays of a single compile at the final
   horizon;
@@ -22,6 +26,7 @@ from collections import Counter
 import numpy as np
 
 from harness import assert_engines_identical, graph_pool, seeded_agent
+from repro.baselines.asymm_only import make_asymm_only_algorithm
 from repro.core.profile import TUNED
 from repro.core.universal import (
     UniversalOracle,
@@ -33,6 +38,7 @@ from repro.experiments.e_infeasible import SCENARIO
 from repro.experiments.scenarios import build_graph
 from repro.graphs import oriented_ring
 from repro.sim.batch import run_rendezvous_batch
+from repro.sim.scheduler import run_rendezvous
 from repro.symmetry.shrink import shrink
 
 HORIZON = 20_000
@@ -81,6 +87,59 @@ def test_oracle_mode_batch_matches_scalar_rendezvous():
     assert_engines_identical(
         oracle_case, [(i,) for i in range(len(CASES))], min_cases=4
     )
+
+
+#: Non-symmetric STICs of the graph pool (path, star, two random
+#: graphs); the asymm-only variant meets on each within ``HORIZON``.
+NONSYMMETRIC = {
+    0: [(0, 3, 0), (0, 2, 3)],
+    4: [(0, 1, 3), (0, 3, 0)],
+    5: [(0, 2, 0), (0, 3, 3)],
+    6: [(0, 1, 0), (0, 3, 0)],
+}
+
+
+def asymm_only_case(kind: str, idx: int) -> str | None:
+    """Batch (oracle mode, segment plan) vs the scalar scheduler for
+    the asymm-only variant on one EXP-L31 case or pool graph."""
+    if kind == "l31":
+        _, spec, u, v = CASES[idx]
+        graph = build_graph(spec)
+        s = shrink(graph, u, v)
+        stics = [(u, v, delta) for delta in range(s + 2)]
+    else:
+        graph = graph_pool()[idx]
+        stics = NONSYMMETRIC[idx]
+    algorithm = make_asymm_only_algorithm(TUNED)
+    oracles = _oracle_factory(graph)
+    batch = run_rendezvous_batch(
+        graph, stics, algorithm, max_rounds=HORIZON, oracle_factory=oracles
+    )
+    for (u, v, delta), got in zip(stics, batch):
+        ref = run_rendezvous(
+            graph,
+            u,
+            v,
+            delta,
+            algorithm,
+            max_rounds=HORIZON,
+            oracles=(oracles(u), oracles(v)),
+        )
+        if kind == "pool" and not ref.met:
+            return f"STIC {(u, v, delta)}: the scalar reference did not meet"
+        for field in FIELDS:
+            if getattr(got, field) != getattr(ref, field):
+                return (
+                    f"STIC {(u, v, delta)}: {field} batch={getattr(got, field)} "
+                    f"scalar={getattr(ref, field)}"
+                )
+    return None
+
+
+def test_asymm_only_batch_matches_scalar_scheduler():
+    cases = [("l31", i) for i in range(len(CASES))]
+    cases += [("pool", i) for i in sorted(NONSYMMETRIC)]
+    assert_engines_identical(asymm_only_case, cases, min_cases=8)
 
 
 def test_deepened_trace_equals_one_shot_compile():

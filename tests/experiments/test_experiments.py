@@ -79,8 +79,8 @@ def test_oblivious_battery_checks_the_final_configuration():
     from repro.graphs import path_graph
 
     graph = path_graph(3)
-    assert _oblivious_battery(graph, 0, 1, 1, rounds=1, seeds=[0])
-    assert not _oblivious_battery(graph, 0, 1, 1, rounds=0, seeds=[0])
+    assert _oblivious_battery(graph, 0, 1, [1], rounds=1, seeds=[0]) == [True]
+    assert _oblivious_battery(graph, 0, 1, [1], rounds=0, seeds=[0]) == [False]
 
 
 def test_runner_selection_and_markdown():
