@@ -13,6 +13,8 @@ test run leaves the working tree untouched.
 """
 
 import json
+import statistics
+import time
 from pathlib import Path
 
 import pytest
@@ -41,6 +43,36 @@ def export_bench(filename: str, workload: str, payload: dict) -> None:
             data = {}
     data[workload] = payload
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def paired_ratio(baseline_fn, candidate_fn, pairs: int):
+    """Median per-pair ``baseline / candidate`` time ratio.
+
+    The two sides run back to back in ``pairs`` interleaved pairs,
+    alternating which goes first, so host drift hits both alike and a
+    scheduler hiccup spoils one pair, not the verdict.  Returns
+    ``(ratio, baseline_s, candidate_s, baseline_result,
+    candidate_result)``; the two times are the per-side medians, for
+    reporting only.
+    """
+    times = {baseline_fn: [], candidate_fn: []}
+    results = {}
+    for index in range(pairs):
+        order = (baseline_fn, candidate_fn)
+        if index % 2:
+            order = order[::-1]
+        for fn in order:
+            t0 = time.perf_counter()
+            results[fn] = fn()
+            times[fn].append(time.perf_counter() - t0)
+    ratios = [old / new for old, new in zip(times[baseline_fn], times[candidate_fn])]
+    return (
+        statistics.median(ratios),
+        statistics.median(times[baseline_fn]),
+        statistics.median(times[candidate_fn]),
+        results[baseline_fn],
+        results[candidate_fn],
+    )
 
 
 def emit(record) -> None:

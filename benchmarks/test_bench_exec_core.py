@@ -20,11 +20,8 @@ times) — uploaded by the CI benchmarks job; the bar is
 ``ratio >= 1.0`` on both grids.
 """
 
-import statistics
-import time
-
 import _legacy_engines as legacy
-from conftest import emit, export_bench
+from conftest import emit, export_bench, paired_ratio
 
 from repro.core import (
     TUNED,
@@ -49,31 +46,6 @@ from repro.symmetry import classify_stic, symmetric_pairs
 #: runs both sides back to back, in alternating order, so host drift
 #: hits both alike; the verdict is the median of the per-pair ratios.
 _PAIRS = 25
-
-
-def _paired_ratio(legacy_fn, unified_fn, pairs=_PAIRS):
-    """Median per-pair ``legacy / unified`` time ratio.
-
-    Returns ``(ratio, legacy_s, unified_s, legacy_result,
-    unified_result)``; the two times are the per-side medians, for
-    reporting only.
-    """
-    times = {legacy_fn: [], unified_fn: []}
-    results = {}
-    for index in range(pairs):
-        order = (legacy_fn, unified_fn) if index % 2 == 0 else (unified_fn, legacy_fn)
-        for fn in order:
-            t0 = time.perf_counter()
-            results[fn] = fn()
-            times[fn].append(time.perf_counter() - t0)
-    ratios = [old / new for old, new in zip(times[legacy_fn], times[unified_fn])]
-    return (
-        statistics.median(ratios),
-        statistics.median(times[legacy_fn]),
-        statistics.median(times[unified_fn]),
-        results[legacy_fn],
-        results[unified_fn],
-    )
 
 
 def _sync_grid():
@@ -130,13 +102,14 @@ def test_exec_core_vs_legacy_engines():
         graph, stics, algorithm, max_rounds=max_rounds, compiler=compiler
     )  # pre-warm: compile cost is shared and excluded
 
-    sync_ratio, legacy_s, unified_s, old, new = _paired_ratio(
+    sync_ratio, legacy_s, unified_s, old, new = paired_ratio(
         lambda: legacy.legacy_run_rendezvous_batch(
             graph, stics, algorithm, max_rounds=max_rounds, compiler=compiler
         ),
         lambda: run_rendezvous_batch(
             graph, stics, algorithm, max_rounds=max_rounds, compiler=compiler
         ),
+        _PAIRS,
     )
     assert new == old  # bit-identical results, every field of every STIC
     record.add_row(
@@ -169,13 +142,14 @@ def test_exec_core_vs_legacy_engines():
         graph, cells, algorithm, max_events=1200, compiler=compiler
     )  # pre-warm
 
-    async_ratio, legacy_s, unified_s, old, new = _paired_ratio(
+    async_ratio, legacy_s, unified_s, old, new = paired_ratio(
         lambda: legacy.legacy_run_schedule_sweep(
             graph, cells, algorithm, max_events=1200, compiler=compiler
         ),
         lambda: run_schedule_sweep(
             graph, cells, algorithm, max_events=1200, compiler=compiler
         ),
+        _PAIRS,
     )
     assert new == old
     record.add_row(

@@ -9,6 +9,10 @@ peak RSS is asserted against a fixed budget far below what any dense
 n=1e5).  The smoke leg (n=1e4) always runs; set ``REPRO_FULL=1`` for
 the 1e5-node leg.
 
+A torus leg runs ``shrink_pairs`` on the 100x100 oriented torus in its
+own fresh subprocess: every pair there is symmetric, so each pair's
+deferred minimum really runs.  It must reach 3 pairs/s within 256 MiB.
+
 A mid-scale leg proves the blocked all-pairs engine end to end: the
 worklist value iteration writes a ``np.lib.format.open_memmap`` atlas
 for the fully symmetric 32x32 oriented torus and must match the dense
@@ -35,9 +39,10 @@ import repro
 from repro.graphs.families import oriented_torus
 from repro.symmetry.context import SymmetryContext
 
-#: Peak-RSS budgets per pipeline leg.  Chosen with ~4x headroom over
-#: measured peaks (79 MiB at n=1e4, 576 MiB at n=1e5) while staying far
-#: below the dense n x n matrix each graph would otherwise need.
+#: Peak-RSS budgets per pipeline leg.  Chosen with 3-4x headroom over
+#: measured peaks (93-99 MiB at n=1e4, 590 MiB at n=1e5, on a 2-CPU
+#: x86-64 Linux host) while staying far below the dense n x n matrix
+#: each graph would otherwise need.
 _SMOKE_BUDGET_BYTES = 400 * 1024 * 1024
 _FULL_BUDGET_BYTES = 2 * 1024 * 1024 * 1024
 
@@ -102,12 +107,51 @@ print(json.dumps({
 """
 
 
-def _run_pipeline(n: int, degree: int, samples: int) -> dict:
+# Shrink on the oriented torus, in a fresh interpreter for the same
+# reason.  The pairs are given as (row, col) offsets from seeded bases.
+_TORUS_SHRINK = r"""
+import json
+import resource
+import sys
+import time
+
+import numpy as np
+
+from repro.graphs.families import oriented_torus
+from repro.symmetry.context import SymmetryContext
+
+side = int(sys.argv[1])
+offsets = np.array(json.loads(sys.argv[2]), dtype=np.int64).reshape(-1, 2)
+
+context = SymmetryContext(oriented_torus(side, side))
+rng = np.random.default_rng(7)
+rows = rng.integers(0, side, len(offsets))
+cols = rng.integers(0, side, len(offsets))
+us = rows * side + cols
+vs = ((rows + offsets[:, 0]) % side) * side + (cols + offsets[:, 1]) % side
+
+t0 = time.perf_counter()
+shrinks = context.shrink_pairs(us, vs)
+shrink_s = time.perf_counter() - t0
+
+dist = context.distances_block(us)[np.arange(len(us)), vs]
+print(json.dumps({
+    "n": side * side,
+    "pairs": len(us),
+    "shrink_s": round(shrink_s, 3),
+    "shrinks": shrinks.tolist(),
+    "distances": dist.tolist(),
+    "peak_rss_bytes": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,
+}, sort_keys=True))
+"""
+
+
+def _run_script(script: str, *args: object) -> dict:
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", _PIPELINE, str(n), str(degree), str(samples)],
+        [sys.executable, "-c", script, *(str(a) for a in args)],
         capture_output=True,
         text=True,
         check=True,
@@ -150,7 +194,7 @@ def test_scale_pipeline_smoke_n10k():
     """1e4-node random 3-regular graph through the full blocked
     pipeline in under 400 MiB — half the 0.8 GB a single dense int64
     matrix would cost, let alone the kernel's two."""
-    stats = _run_pipeline(10_000, 3, 32)
+    stats = _run_script(_PIPELINE, 10_000, 3, 32)
     _assert_pipeline_sane(stats, _SMOKE_BUDGET_BYTES)
     _record_pipeline("scale_pipeline_n10000", stats, _SMOKE_BUDGET_BYTES)
 
@@ -163,9 +207,46 @@ def test_scale_pipeline_full_n100k():
         import pytest
 
         pytest.skip("set REPRO_FULL=1 for the 1e5-node pipeline")
-    stats = _run_pipeline(100_000, 3, 64)
+    stats = _run_script(_PIPELINE, 100_000, 3, 64)
     _assert_pipeline_sane(stats, _FULL_BUDGET_BYTES)
     _record_pipeline("scale_pipeline_n100000", stats, _FULL_BUDGET_BYTES)
+
+
+#: (row, col) offsets of the torus leg's pairs: the ``symmetry_scale``
+#: workload's offsets, distances 3 to 12.
+_TORUS_OFFSETS = [(1, 2), (3, 0), (2, 5), (6, 1), (4, 7), (9, 3)]
+_TORUS_BUDGET_BYTES = 256 * 1024 * 1024
+
+
+def test_torus_shrink_pairs_100x100():
+    """100x100 oriented torus (n=1e4, all pairs symmetric): at least
+    3 Shrink pairs/s within 256 MiB, in a fresh interpreter.
+
+    The reach of a pair on the oriented torus is one translation orbit
+    ``{(x, x + offset)}``, whose states all sit at distance
+    ``dist(u, v)``, so Shrink equals ``dist(u, v)``.  The deferred
+    minimum fetches one BFS row per reach state truncated at
+    ``dist(u, v) - 1``, so the cost grows with the ball of that radius:
+    these near pairs are the regime the truncation serves.  A pair near
+    the diameter still costs about ``n`` full rows.
+    """
+    stats = _run_script(_TORUS_SHRINK, 100, json.dumps(_TORUS_OFFSETS))
+    assert stats["shrinks"] == stats["distances"], stats
+    assert min(stats["shrinks"]) > 0, stats
+    pairs_per_s = (
+        stats["pairs"] / stats["shrink_s"] if stats["shrink_s"] > 0 else float("inf")
+    )
+    assert pairs_per_s >= 3.0, stats
+    assert stats["peak_rss_bytes"] <= _TORUS_BUDGET_BYTES, stats
+    export_bench(
+        "BENCH_symmetry.json",
+        "torus_shrink_pairs_100x100",
+        {
+            **stats,
+            "budget_bytes": _TORUS_BUDGET_BYTES,
+            "shrink_pairs_per_s": round(pairs_per_s, 1),
+        },
+    )
 
 
 def test_blocked_memmap_all_pairs_matches_dense(tmp_path):

@@ -10,10 +10,11 @@ therefore pay ``O(n^2)`` scalar reconstructions of the same facts.
 
 :class:`SymmetryContext` computes each fact once per graph:
 
-* **view colors** by array-based partition refinement: one
-  ``np.unique`` over per-node signature rows per round, renumbered by
-  first occurrence so the colors are bit-identical to
-  :func:`~repro.symmetry.views.view_classes`;
+* **view colors** by array-based partition refinement: each round
+  packs the per-node signature columns into one int64 code by an exact
+  pairing (a 1-D ``np.unique`` renumbers it densely whenever the next
+  column would overflow), renumbered by first occurrence so the colors
+  are bit-identical to :func:`~repro.symmetry.views.view_classes`;
 * **distances** by frontier-compressed multi-source BFS over the
   graph's CSR adjacency, computed in *source blocks*
   (:meth:`~SymmetryContext.distances_block`) so working memory is
@@ -54,6 +55,7 @@ dozens of others.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -111,12 +113,30 @@ def _canonical_codes(values: np.ndarray) -> np.ndarray:
     return _rank_by_first_occurrence(first)[inverse.reshape(-1)]
 
 
-def _canonical_codes_rows(rows: np.ndarray) -> np.ndarray:
-    """First-occurrence canonical codes of the rows of a 2-D array."""
-    _, first, inverse = np.unique(
-        rows, axis=0, return_index=True, return_inverse=True
-    )
-    return _rank_by_first_occurrence(first)[inverse.reshape(-1)]
+#: Largest value a packed refinement code may reach.
+_PACK_LIMIT = int(np.iinfo(np.int64).max)
+
+
+def _pack_columns(
+    code: np.ndarray, columns: Iterable[np.ndarray], base: int
+) -> np.ndarray:
+    """One int64 code per row of ``(code, *columns)``, equal iff the
+    rows are equal.
+
+    ``code`` holds values in ``0..base-1`` and every column values in
+    ``-1..base-2``, so ``code * base + column + 1`` pairs them exactly.
+    Columns are packed in one after another while the product stays in
+    int64; before it would overflow, ``np.unique`` renumbers the codes
+    densely (below ``n <= base``) and packing goes on.
+    """
+    span = base
+    for column in columns:
+        if span > _PACK_LIMIT // base:
+            code = np.unique(code, return_inverse=True)[1]
+            span = base
+        code = code * base + (column + 1)
+        span *= base
+    return code
 
 
 def _in_sorted(sorted_arr: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -170,17 +190,25 @@ class SymmetryContext:
         valid = succ >= 0
         safe_succ = np.where(valid, succ, 0)
         # Entry ports are >= 0 wherever valid, so -1 padding encodes the
-        # degree into the signature row exactly as tuple length does in
-        # the scalar signatures.
+        # degree into the signature exactly as tuple length does in the
+        # scalar signatures.
         padded_entry = np.where(valid, entry, -1)
+        # Every signature column lies in -1..base-2 and every class id
+        # below n < base, as _pack_columns requires.
+        base = max(n, succ.shape[1]) + 1
+        # The entry ports never change between rounds: pack them once.
+        entry_code = _canonical_codes(
+            _pack_columns(np.zeros(n, dtype=np.int64), padded_entry.T, base)
+        )
 
         colors = _canonical_codes(graph.degrees)
-        rows = np.empty((n, 1 + 2 * succ.shape[1]), dtype=np.int64)
-        rows[:, 1::2] = padded_entry
         for _ in range(max(n - 1, 1)):
-            rows[:, 0] = colors
-            rows[:, 2::2] = np.where(valid, colors[safe_succ], -1)
-            new_colors = _canonical_codes_rows(rows)
+            # The signature (own color, then entry port and neighbor
+            # color per port) as one code: equal codes iff equal rows.
+            neighbor = np.where(valid, colors[safe_succ], -1)
+            new_colors = _canonical_codes(
+                _pack_columns(colors, [entry_code, *neighbor.T], base)
+            )
             if np.array_equal(new_colors, colors):
                 break
             colors = new_colors
@@ -242,15 +270,23 @@ class SymmetryContext:
     # ------------------------------------------------------------------
     # Distances (blocked frontier-compressed multi-source BFS)
     # ------------------------------------------------------------------
-    def _bfs_block(self, sources: np.ndarray) -> np.ndarray:
+    def _bfs_block(
+        self, sources: np.ndarray, max_level: int | None = None
+    ) -> np.ndarray:
         """BFS distances from every node of ``sources`` at once.
 
         Frontier compression: the live frontier is a flat array of
         ``slot * n + node`` keys (slot = position within ``sources``),
-        expanded per level with two CSR gathers and deduplicated with
-        one ``np.unique``.  Working memory is ``O(block * n)`` for the
-        output plus ``O(frontier edges)`` transient — no dense
-        adjacency, no matmul.
+        expanded per level with two CSR gathers.  Duplicates are removed
+        in place, with the output itself as the owner array: every
+        unvisited target cell is stamped with its candidate's mark
+        ``-2 - i`` and only the candidate that reads its own mark back
+        survives — no sort, no extra ``O(block * n)`` buffer.  Working
+        memory is ``O(block * n)`` for the output plus ``O(frontier
+        edges)`` transient — no dense adjacency, no matmul.
+
+        With ``max_level``, the search stops after that level: nodes
+        farther than ``max_level`` from their source stay ``-1``.
         """
         graph = self.graph
         n = graph.n
@@ -259,26 +295,27 @@ class SymmetryContext:
         sources = np.asarray(sources, dtype=np.int64)
         block = len(sources)
         dist = np.full((block, n), -1, dtype=np.int64)
-        slots = np.arange(block, dtype=np.int64)
-        dist[slots, sources] = 0
-        frontier_slot = slots
+        flat = dist.reshape(-1)
+        # A key splits into its row offset slot * n and its node.
+        frontier_row = np.arange(block, dtype=np.int64) * n
         frontier_node = sources
+        flat[frontier_row + frontier_node] = 0
         level = 0
-        while frontier_node.size:
+        while frontier_node.size and (max_level is None or level < max_level):
             level += 1
             starts = indptr[frontier_node]
             counts = indptr[frontier_node + 1] - starts
-            origins = np.repeat(frontier_slot, counts)
-            targets = indices[repeat_ranges(starts, counts)]
-            fresh = dist[origins, targets] == -1
-            origins = origins[fresh]
-            targets = targets[fresh]
-            if origins.size == 0:
+            keys = np.repeat(frontier_row, counts)
+            keys += indices[repeat_ranges(starts, counts)]
+            keys = keys[flat[keys] == -1]
+            if keys.size == 0:
                 break
-            keys = np.unique(origins * np.int64(n) + targets)
-            frontier_slot = keys // n
-            frontier_node = keys - frontier_slot * n
-            dist[frontier_slot, frontier_node] = level
+            marks = -2 - np.arange(keys.size, dtype=np.int64)
+            flat[keys] = marks
+            keys = keys[flat[keys] == marks]
+            flat[keys] = level
+            frontier_node = keys % n
+            frontier_row = keys - frontier_node
         return dist
 
     def distances_block(self, rows: object) -> np.ndarray:
@@ -316,11 +353,14 @@ class SymmetryContext:
             self._distances.setflags(write=False)
         return self._distances
 
-    def _distance_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Internal: distance rows, from the cache when present."""
+    def _distance_rows(
+        self, rows: np.ndarray, max_level: int | None = None
+    ) -> np.ndarray:
+        """Internal: distance rows, from the cache when present (whole
+        rows then); otherwise BFS rows truncated at ``max_level``."""
         if self._distances is not None:
             return self._distances[rows]
-        return self._bfs_block(rows)
+        return self._bfs_block(rows, max_level)
 
     # ------------------------------------------------------------------
     # All-pairs Shrink (blocked value iteration, active-row worklist)
@@ -450,8 +490,13 @@ class SymmetryContext:
           touches the diagonal — no distance lookups at all;
         * pairs whose reach exhausts without touching the diagonal
           evaluate ``min dist(x, y)`` over their visited states
-          *deferred*: states are grouped by left endpoint and distance
-          rows fetched blockwise through :meth:`distances_block`.
+          *deferred*, bounded by the start state: ``Shrink(u, v) <=
+          dist(u, v)``, so the start rows seed the minimum and the
+          other states, grouped by left endpoint, read BFS rows
+          truncated at the chunk's largest ``dist(u, v) - 1`` (whole
+          rows when the dense distance matrix is already cached).
+          The cost is one ball of that radius per distinct left
+          endpoint, not one full row.
 
         ``state_budget`` caps visited product states per batch; graphs
         with giant symmetric reaches (e.g. large rings, where each
@@ -489,7 +534,7 @@ class SymmetryContext:
         succ = graph.succ_node_array
 
         # n is a strict upper bound on any distance, so it doubles as
-        # "no value yet" for the deferred minimum.
+        # "no value" for the deferred minimum.
         result = np.full(count, n, dtype=np.int64)
         finished = np.zeros(count, dtype=bool)
         diagonal_start = us == vs
@@ -541,7 +586,15 @@ class SymmetryContext:
         pending = ~finished
         if pending.any():
             # Exhausted reaches: min dist over every visited state of
-            # the pending slots, distance rows fetched blockwise.
+            # the pending slots.  The start state is in the reach, so
+            # Shrink <= dist(u, v): seed with the start rows (one small
+            # block), then fetch the other rows only out to the largest
+            # bound minus one — anything farther cannot lower a minimum.
+            pending_slots = np.flatnonzero(pending)
+            start_rows = self._distance_rows(us[pending_slots])
+            bound = start_rows[np.arange(len(pending_slots)), vs[pending_slots]]
+            result[pending_slots] = bound
+            max_level = int(bound.max()) - 1
             keep = pending[visited // nn]
             keys = visited[keep]
             key_slot = keys // nn
@@ -558,13 +611,14 @@ class SymmetryContext:
             for c0 in range(0, len(unique_x), row_block):
                 c1 = min(c0 + row_block, len(unique_x))
                 rows = unique_x[c0:c1]
-                dist_rows = self._distance_rows(rows)
+                dist_rows = self._distance_rows(rows, max_level)
                 lo = bounds[c0]
                 hi = bounds[c1]
                 local = np.searchsorted(rows, key_x[lo:hi])
-                np.minimum.at(
-                    result, key_slot[lo:hi], dist_rows[local, key_y[lo:hi]]
-                )
+                values = dist_rows[local, key_y[lo:hi]]
+                # -1 means "farther than max_level": no value.
+                values[values < 0] = n
+                np.minimum.at(result, key_slot[lo:hi], values)
         return result
 
     def shrink_value(self, u: int, v: int) -> int:

@@ -18,8 +18,7 @@ Two complementary implementations:
 
 :func:`view_classes` and its derivatives are thin wrappers over the
 per-graph kernel (:mod:`repro.symmetry.context`), which runs the same
-refinement as one ``np.unique`` per round and memoizes the result per
-graph.  The original tuple-dict refinement loop is retained as
+refinement on 1-D array codes and memoizes the result per graph.  The original tuple-dict refinement loop is retained as
 :func:`view_classes_reference` for the differential suite and the
 benchmarks.
 """

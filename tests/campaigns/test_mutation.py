@@ -126,8 +126,8 @@ def test_off_by_one_blocked_bfs_is_caught(tmp_path, monkeypatch):
     by the sparse-symmetry differential, shrunk, and replayed."""
     original = SymmetryContext._bfs_block
 
-    def skewed(self, sources):
-        dist = original(self, sources)
+    def skewed(self, sources, max_level=None):
+        dist = original(self, sources, max_level)
         dist[dist > 0] += 1  # every non-source level lands one step late
         return dist
 

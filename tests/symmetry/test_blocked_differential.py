@@ -10,6 +10,12 @@ construction.  Coverage: 200+ seeded random connected graphs of mixed
 sizes and degrees, plus the exhaustive class of all port-labeled graphs
 on ``n <= 4`` nodes.
 
+The scale-path specifics get their own cases: ``shrink_pairs`` with
+its deferred minimum truncated at ``dist(u, v) - 1`` on symmetric
+graphs whose BFS the truncation really cuts, ``_bfs_block`` at a
+``max_level``, ``shrink_pairs`` served from a materialized distance
+matrix, and the folded 1-D refinement codes on mixed-degree graphs.
+
 The byte-aware context-cache LRU (:func:`set_context_cache_limit`) is
 unit-tested here too: eviction accounting, lazy-growth re-enforcement,
 and the most-recently-served survivor guarantee.
@@ -19,11 +25,14 @@ import numpy as np
 import pytest
 
 import repro.symmetry.context as context_module
+from repro.experiments.scenarios import build_graph
 from repro.graphs.enumeration import enumerate_port_labeled_graphs
 from repro.graphs.families import (
     hypercube,
     oriented_ring,
     oriented_torus,
+    path_graph,
+    star_graph,
     symmetric_tree,
 )
 from repro.graphs.random_graphs import random_connected_graph, random_tree
@@ -34,6 +43,7 @@ from repro.symmetry.context import (
     set_context_cache_limit,
     symmetry_context,
 )
+from repro.symmetry.views import view_classes_reference
 
 
 def random_pool():
@@ -211,6 +221,117 @@ def test_shrink_pairs_state_budget_is_enforced():
     # A sane budget on the same pair still lands the exact value.
     value = context.shrink_pairs([0], [6], state_budget=10_000)
     assert np.array_equal(value, [6])
+
+
+# ----------------------------------------------------------------------
+# Truncated deferred minimum, max_level BFS, folded refinement codes
+# ----------------------------------------------------------------------
+
+#: Vertex-transitive graphs with real Shrink values at every offset,
+#: large enough that dist(0, v) - 1 stays below node 0's eccentricity.
+TRANSLATION_SPECS = [
+    {"family": "oriented_torus", "rows": 24, "cols": 24},
+    {"family": "circulant", "n": 120, "steps": [1, 11]},
+    {
+        "family": "cayley_abelian",
+        "moduli": [10, 12],
+        "generators": [[1, 0], [0, 1], [3, 4]],
+    },
+]
+
+
+@pytest.mark.parametrize(
+    "spec", TRANSLATION_SPECS, ids=[spec["family"] for spec in TRANSLATION_SPECS]
+)
+def test_truncated_shrink_pairs_every_offset(spec, monkeypatch):
+    """``shrink_pairs`` from node 0 to every other node equals the
+    dense kernel's row 0, and the deferred rows really were truncated
+    below node 0's eccentricity on the way."""
+    graph = build_graph(spec)
+    n = graph.n
+    dense = SymmetryContext(graph).shrink_all
+    eccentricity = int(graph.distances_from(0).max())
+
+    levels = []
+    original = SymmetryContext._bfs_block
+
+    def spy(self, sources, max_level=None):
+        levels.append(max_level)
+        return original(self, sources, max_level)
+
+    monkeypatch.setattr(SymmetryContext, "_bfs_block", spy)
+    vs = np.arange(1, n, dtype=np.int64)
+    us = np.zeros_like(vs)
+    assert np.array_equal(SymmetryContext(graph).shrink_pairs(us, vs), dense[0, 1:])
+    assert np.array_equal(
+        SymmetryContext(graph).shrink_pairs(us[:40], vs[:40], pair_chunk=5),
+        dense[0, 1:41],
+    )
+    truncated = [level for level in levels if level is not None]
+    assert truncated and min(truncated) < eccentricity - 1
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        oriented_torus(24, 24),
+        path_graph(9),
+        star_graph(5),
+        random_connected_graph(30, 12, seed=4),
+        random_tree(17, seed=2),
+    ],
+    ids=repr,
+)
+def test_bfs_block_max_level_truncates_full_rows(graph):
+    """``_bfs_block(rows, max_level=k)`` is the full block with every
+    entry farther than ``k`` reset to ``-1``."""
+    context = SymmetryContext(graph)
+    rows = np.arange(graph.n, dtype=np.int64)[::-3]
+    full = context._bfs_block(rows)
+    eccentricity = int(full.max())
+    for k in sorted({0, 1, eccentricity - 1, eccentricity}):
+        expected = np.where(full > k, -1, full)
+        assert np.array_equal(context._bfs_block(rows, max_level=k), expected), k
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [oriented_torus(9, 9), oriented_ring(15), random_connected_graph(13, 6, seed=1)],
+    ids=repr,
+)
+def test_shrink_pairs_from_materialized_distances(graph):
+    """With the dense distance matrix already cached, the deferred
+    minimum reads whole rows from it and still lands the exact values."""
+    n = graph.n
+    expected = SymmetryContext(graph).shrink_all
+    context = SymmetryContext(graph)
+    context.distances
+    us = np.repeat(np.arange(n, dtype=np.int64), n)
+    vs = np.tile(np.arange(n, dtype=np.int64), n)
+    assert np.array_equal(
+        context.shrink_pairs(us, vs, pair_chunk=16).reshape(n, n), expected
+    )
+
+
+def mixed_degree_graphs():
+    graphs = [path_graph(7), star_graph(4), symmetric_tree(2, 3), symmetric_tree(3, 2)]
+    graphs += [random_tree(n, seed=seed) for n in (6, 11, 19) for seed in range(4)]
+    graphs += [
+        random_connected_graph(n, extra, seed=seed)
+        for n in (7, 12, 20)
+        for extra in (1, 4)
+        for seed in range(3)
+    ]
+    return [g for g in graphs if int(g.degrees.min()) < int(g.degrees.max())]
+
+
+def test_folded_colors_match_reference_on_mixed_degrees():
+    """The folded 1-D refinement codes equal the scalar refinement on
+    graphs whose signature rows carry ``-1`` padding."""
+    graphs = mixed_degree_graphs()
+    assert len(graphs) >= 30
+    for graph in graphs:
+        assert SymmetryContext(graph).color_list() == view_classes_reference(graph)
 
 
 # ----------------------------------------------------------------------
