@@ -97,11 +97,20 @@ def uxs_for_size(n: int) -> tuple[int, ...]:
 def apply_uxs(
     graph: PortLabeledGraph, start: int, seq: Sequence[int]
 ) -> list[int]:
-    """The application ``R(u) = (u_0, ..., u_{M+1})`` of ``seq`` at ``start``."""
+    """The application ``R(u) = (u_0, ..., u_{M+1})`` of ``seq`` at ``start``.
+
+    The walk of :func:`apply_uxs_ports`, recording the nodes it reaches
+    instead of the ports it takes (``graph.walk`` of those ports).
+    """
     nodes = [start]
-    ports = apply_uxs_ports(graph, start, seq)
-    node = start
-    for p in ports:
+    if graph.degree(start) == 0:  # pragma: no cover - impossible when connected, n>1
+        return nodes
+    node = graph.succ(start, 0)
+    entry = graph.entry_port(start, 0)
+    nodes.append(node)
+    for a in seq:
+        p = (entry + a) % graph.degree(node)
+        entry = graph.entry_port(node, p)
         node = graph.succ(node, p)
         nodes.append(node)
     return nodes

@@ -8,9 +8,9 @@ through the graph, starts whose perception streams have been identical
 so far form one *class* sharing a single live generator, and the
 decisions are interned in a trie keyed by ``(degree, entry port)`` so
 later compilations replay them with dict lookups instead of agent
-code.  Position updates are one successor-table gather per move event
-for the whole class; wait blocks advance the clock without touching
-positions.
+code.  Position updates are one pass over the class's lanes per move
+event, through plain-list mirrors of the successor tables; wait blocks
+advance the clock without touching positions.
 
 A start compiled alone (every start in oracle mode) keeps a resumable
 cursor instead: a deeper horizon continues from where the last compile
@@ -167,7 +167,14 @@ class PortTrace:
 
 
 class _Group:
-    """A set of start nodes whose perception streams agree so far."""
+    """A set of start nodes whose perception streams agree so far.
+
+    Per-lane state is held in plain lists, one entry per start in
+    ``starts`` order: classes hold a handful of starts, where a Python
+    loop beats numpy's per-call cost.  ``poslog[j]`` is lane ``j``'s
+    position after each move of ``move_clocks``; a split hands each
+    lane's log to its part instead of copying it.
+    """
 
     __slots__ = (
         "starts",
@@ -185,32 +192,34 @@ class _Group:
         "tail_waits",
     )
 
-    def __init__(self, starts: np.ndarray, children: dict) -> None:
+    def __init__(self, starts: list[int], children: dict) -> None:
         self.starts = starts
-        self.pos = starts.copy()
-        self.entry = np.full(len(starts), -1, dtype=np.int64)
+        self.pos = list(starts)
+        self.entry = [-1] * len(starts)
         self.clock = 0
         self.children = children  # current trie level
         self.percepts: list[Perception] = []
         self.script: AgentScript | None = None
         self.move_clocks: list[int] = []
-        self.poslog: list[np.ndarray] = []
+        self.poslog: list[list[int]] = [[] for _ in starts]
         self.stopped = False
         self.error: Exception | None = None
         self.error_clock = 0
         self.tail_waits = 0
 
-    def split(self, idx: np.ndarray) -> "_Group":
+    def split(self, idx: list[int]) -> "_Group":
+        """The part made of lanes ``idx``; this group is spent after
+        its lanes are all split off, so their logs move, not copy."""
         sub = _Group.__new__(_Group)
-        sub.starts = self.starts[idx]
-        sub.pos = self.pos[idx]
-        sub.entry = self.entry[idx]
+        sub.starts = [self.starts[i] for i in idx]
+        sub.pos = [self.pos[i] for i in idx]
+        sub.entry = [self.entry[i] for i in idx]
         sub.clock = self.clock
         sub.children = self.children
         sub.percepts = list(self.percepts)
         sub.script = None
         sub.move_clocks = list(self.move_clocks)
-        sub.poslog = [arr[idx] for arr in self.poslog]
+        sub.poslog = [self.poslog[i] for i in idx]
         sub.stopped = False
         sub.error = None
         sub.error_clock = 0
@@ -407,7 +416,7 @@ class TraceCompiler:
         self._plan_cursors: dict[int, _PlanCursor] = {}
         self._cache: dict[int, PortTrace] = {}
         # Plain-list mirrors of the successor tables: python-int indexing
-        # is what the singleton fast path spends its time on.
+        # is what both steppers spend their time on.
         self._deg_list: list[int] = graph.degrees.tolist()
         self._succ_list: list[list[int]] = graph.succ_node_array.tolist()
         self._succ_port_list: list[list[int]] = graph.succ_port_array.tolist()
@@ -445,7 +454,7 @@ class TraceCompiler:
                 # left behind would lag its trace.
                 for s in starts:
                     self._cursors.pop(s, None)
-                group = _Group(np.array(starts, dtype=np.int64), self._trie)
+                group = _Group([int(s) for s in starts], self._trie)
                 self._run_group(group, horizon)
         return {s: self._cache[s] for s in horizons}
 
@@ -470,7 +479,7 @@ class TraceCompiler:
     def _replay(self, group: _Group, current: Perception) -> AgentScript:
         """Fresh generator positioned to decide on ``current``."""
         wake = group.percepts[0] if group.percepts else current
-        script = self._instantiate(wake, int(group.starts[0]))
+        script = self._instantiate(wake, group.starts[0])
         if group.percepts:
             # Re-feed the recorded stream; by determinism the actions
             # match the trie, so their values are irrelevant here.
@@ -747,35 +756,29 @@ class TraceCompiler:
         )
 
     def _run_group(self, group: _Group, horizon: int) -> None:
-        graph = self._graph
-        degrees = graph.degrees
-        succ = graph.succ_node_array
-        succ_port = graph.succ_port_array
+        deg = self._deg_list
+        succ = self._succ_list
+        succ_port = self._succ_port_list
         worklist = [group]
         while worklist:
             g = worklist.pop()
             if g.stopped or g.error is not None or g.clock > horizon:
                 self._finalize(g)
                 continue
-            # Plain lists: classes are small, and numpy's per-call cost
-            # dominates a comparison of a few elements.
-            degs = degrees[g.pos].tolist()
-            entries = g.entry.tolist()
+            degs = [deg[x] for x in g.pos]
+            entries = g.entry
             uniform = degs.count(degs[0]) == len(degs) and entries.count(
                 entries[0]
             ) == len(entries)
             if uniform:
-                parts: list[tuple[int, int, np.ndarray | None]] = [
+                parts: list[tuple[int, int, list[int] | None]] = [
                     (degs[0], entries[0], None)
                 ]
             else:
                 buckets: dict[tuple[int, int], list[int]] = {}
-                for i, (d, e) in enumerate(zip(degs, entries)):
-                    buckets.setdefault((d, e), []).append(i)
-                parts = [
-                    (d, e, np.array(idx, dtype=np.int64))
-                    for (d, e), idx in buckets.items()
-                ]
+                for i, key in enumerate(zip(degs, entries)):
+                    buckets.setdefault(key, []).append(i)
+                parts = [(d, e, idx) for (d, e), idx in buckets.items()]
             script = g.script
             for d, e, idx in parts:
                 sub = g if idx is None else g.split(idx)
@@ -807,10 +810,12 @@ class TraceCompiler:
                     sub.error = action.exc
                     sub.error_clock = g.clock
                 elif isinstance(action, Move):
-                    sub.entry = succ_port[sub.pos, action.port]
-                    sub.pos = succ[sub.pos, action.port]
+                    port = action.port
+                    sub.entry = [succ_port[x][port] for x in sub.pos]
+                    sub.pos = pos = [succ[x][port] for x in sub.pos]
+                    for lane, x in zip(sub.poslog, pos):
+                        lane.append(x)
                     sub.move_clocks.append(g.clock)
-                    sub.poslog.append(sub.pos)
                     sub.clock = g.clock + 1
                     sub.tail_waits = 0
                 elif isinstance(action, Wait):
@@ -825,18 +830,11 @@ class TraceCompiler:
         times = np.zeros(len(g.move_clocks) + 1, dtype=np.int64)
         if g.move_clocks:
             times[1:] = np.asarray(g.move_clocks, dtype=np.int64) + 1
-            mat = np.array(g.poslog, dtype=np.int64)
-        for j, start in enumerate(g.starts.tolist()):
-            if g.move_clocks:
-                nodes = np.concatenate(
-                    ([start], np.asarray(mat[:, j], dtype=np.int64))
-                )
-            else:
-                nodes = np.asarray([start], dtype=np.int64)
+        for start, lane in zip(g.starts, g.poslog):
             self._cache[start] = PortTrace(
                 start=start,
                 times=times,
-                nodes=nodes,
+                nodes=np.array([start] + lane, dtype=np.int64),
                 valid_through=g.error_clock if g.error is not None else g.clock,
                 complete=g.stopped,
                 error=g.error,

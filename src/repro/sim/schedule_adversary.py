@@ -457,6 +457,11 @@ def run_schedule_sweep(
         run is declared move-starved (mirrors the scalar engine's
         per-pull fuel limit; measured in *actions*, so arbitrarily long
         ``WaitBlock`` paddings never trip it).
+    initial_horizon:
+        Upper bound on the first compile depth, in local clocks.  The
+        first depth is the smaller of this and the most traversals any
+        cell requests of one agent within its budget; each later round
+        quadruples it.
 
     Returns one :class:`AsyncOutcome` per cell, in input order,
     bit-identical to :func:`run_schedule_adversary` (at matching
@@ -552,4 +557,11 @@ def run_schedule_sweep(
                 decided[i] = outcome
         return decided
 
-    return resolve_adaptive(len(items), step, initial_horizon=initial_horizon)
+    # A trace cut at clock ``h`` holds at most ``h`` moves, so the
+    # largest move count any cell requests is the shallowest depth that
+    # can serve every cell in one round.  Starting there, not deeper,
+    # keeps short-budget grids from compiling clocks no cell reads.
+    demand = max((int(cum[-1].max()) for cum in cums.values()), default=0)
+    return resolve_adaptive(
+        len(items), step, initial_horizon=min(initial_horizon, demand)
+    )

@@ -37,14 +37,17 @@ class TestApplication:
         assert walk == [0, 1, 0, 1]
 
     def test_ports_match_walk(self):
-        g = oriented_torus(3, 3)
-        seq = TUNED.uxs(9)[:50]
-        ports = apply_uxs_ports(g, 4, seq)
-        node = 4
-        for p in ports:
-            node = g.succ(node, p)
-        assert node == apply_uxs(g, 4, seq)[-1]
-        assert len(ports) == len(seq) + 1
+        # apply_uxs walks on its own; the two must stay in lockstep.
+        graphs = [oriented_torus(3, 3)] + [
+            random_connected_graph(n, n // 2, seed=seed)
+            for n, seed in ((5, 1), (8, 2), (11, 3), (14, 4))
+        ]
+        for g in graphs:
+            seq = TUNED.uxs(g.n)[:200]
+            for start in range(g.n):
+                ports = apply_uxs_ports(g, start, seq)
+                assert len(ports) == len(seq) + 1
+                assert g.walk(start, ports) == apply_uxs(g, start, seq), (g.n, start)
 
     def test_length_formula(self):
         assert uxs_length(1) == 1

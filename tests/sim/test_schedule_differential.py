@@ -13,6 +13,7 @@ including idling words and seeded random activation streams.
 
 import pytest
 
+from repro.exec.trace import TraceCompiler
 from repro.graphs import oriented_ring, oriented_torus, path_graph, star_graph
 from repro.graphs.random_graphs import random_connected_graph
 from repro.sim import Move, Wait, WaitBlock
@@ -100,6 +101,11 @@ def _budget(u, v, schedule):
     """Per-cell event budget, a pure function of the cell (so the
     callable ``max_events`` path is exercised unambiguously)."""
     return derive_seed("sched-diff-budget", u, v, schedule.name) % 501
+
+
+def _deep_budget(u, v, schedule):
+    """Per-cell budgets past the default first compile depth (1024)."""
+    return 1100 + _budget(u, v, schedule)
 
 
 def _instances():
@@ -306,3 +312,147 @@ def test_pure_waiter_hits_fuel_limit():
         run_schedule_sweep(
             g, [(0, 2, MirrorSchedule())], waiter, max_events=10, fuel=64
         )
+
+
+# ---------------------------------------------------------------------------
+# The first compile depth
+# ---------------------------------------------------------------------------
+#
+# ``run_schedule_sweep`` starts at ``min(initial_horizon, demand)``, where
+# ``demand`` is the most traversals any cell requests of one agent, and
+# quadruples from there.  Outcomes must not depend on where it starts.
+
+#: ``None`` leaves ``initial_horizon`` at its default.
+FIRST_HORIZONS = (1, 8, None)
+_REFS: dict = {}
+
+
+def _horizon_kwargs(initial_horizon):
+    return {} if initial_horizon is None else {"initial_horizon": initial_horizon}
+
+
+def _demand(cells, budget):
+    return max(
+        int(s.cumulative_moves(budget(u, v, s))[-1].max()) for u, v, s in cells
+    )
+
+
+def _scalar_refs(graph_idx, agent_seed, cells, budget):
+    key = (graph_idx, agent_seed, budget.__name__)
+    if key not in _REFS:
+        _REFS[key] = [
+            run_schedule_adversary(
+                GRAPHS[graph_idx],
+                u,
+                v,
+                seeded_agent(agent_seed),
+                s,
+                max_events=budget(u, v, s),
+            )
+            for u, v, s in cells
+        ]
+    return _REFS[key]
+
+
+@pytest.mark.parametrize("initial_horizon", FIRST_HORIZONS)
+@pytest.mark.parametrize("budget", [_budget, _deep_budget], ids=["demand", "deep"])
+def test_first_horizon_does_not_change_outcomes(initial_horizon, budget):
+    """Seeded agents on every graph of the pool, at first depths 1 and
+    8, at the default, and (``demand`` budgets, all under 1024) at the
+    demand-sized start the default becomes."""
+    for graph_idx, graph, agent_seed, cells in _instances():
+        got = run_schedule_sweep(
+            graph,
+            cells,
+            seeded_agent(agent_seed),
+            max_events=budget,
+            **_horizon_kwargs(initial_horizon),
+        )
+        assert got == _scalar_refs(graph_idx, agent_seed, cells, budget), (
+            graph_idx,
+            agent_seed,
+        )
+
+
+def test_first_compile_depth_is_demand_sized(monkeypatch):
+    """The first ``TraceCompiler.traces`` call of a sweep asks for
+    ``min(1024, demand)`` clocks for every start it compiles."""
+    requested: list[set[int]] = []
+    real_traces = TraceCompiler.traces
+
+    def spy(self, horizons):
+        requested.append(set(horizons.values()))
+        return real_traces(self, horizons)
+
+    monkeypatch.setattr(TraceCompiler, "traces", spy)
+    capped = set()
+    for budget in (_budget, _deep_budget):
+        for _, graph, agent_seed, cells in _instances():
+            requested.clear()
+            run_schedule_sweep(
+                graph, cells, seeded_agent(agent_seed), max_events=budget
+            )
+            first = min(1024, _demand(cells, budget))
+            assert requested[0] == {max(first, 1)}, (budget.__name__, first)
+            capped.add(first == 1024)
+    # Both regimes occur: demand-sized starts and the 1024 cap.
+    assert capped == {False, True}
+
+
+@pytest.mark.parametrize("initial_horizon", FIRST_HORIZONS)
+@pytest.mark.parametrize("max_events", [10, 2000])
+def test_first_horizon_keeps_fuel_error(initial_horizon, max_events):
+    def waiter(percept):
+        while True:
+            percept = yield Wait()
+
+    g = oriented_ring(5)
+    with pytest.raises(RuntimeError) as scalar_exc:
+        run_schedule_adversary(
+            g, 0, 2, waiter, MirrorSchedule(), max_events=max_events, fuel=64
+        )
+    with pytest.raises(RuntimeError) as batch_exc:
+        run_schedule_sweep(
+            g,
+            [(0, 2, MirrorSchedule())],
+            waiter,
+            max_events=max_events,
+            fuel=64,
+            **_horizon_kwargs(initial_horizon),
+        )
+    assert str(batch_exc.value) == str(scalar_exc.value)
+
+
+@pytest.mark.parametrize("initial_horizon", FIRST_HORIZONS)
+@pytest.mark.parametrize("max_events", [100, 2000])
+def test_first_horizon_keeps_agent_errors(initial_horizon, max_events):
+    def explodes(percept):
+        for _ in range(30):
+            percept = yield WaitBlock(3)
+            percept = yield Move(0)
+        raise RuntimeError("boom")
+
+    def bad_port(percept):
+        for _ in range(20):
+            percept = yield Wait()
+            percept = yield Move(0)
+        while True:
+            percept = yield Move(7)
+
+    # Both agents run clockwise three nodes apart: they never meet, so
+    # each error binds.
+    g = oriented_ring(6)
+    for algorithm, exc_type in ((explodes, RuntimeError), (bad_port, ValueError)):
+        with pytest.raises(exc_type) as scalar_exc:
+            run_schedule_adversary(
+                g, 0, 3, algorithm, EagerSchedule(), max_events=max_events
+            )
+        with pytest.raises(exc_type) as batch_exc:
+            run_schedule_sweep(
+                g,
+                [(0, 3, EagerSchedule())],
+                algorithm,
+                max_events=max_events,
+                **_horizon_kwargs(initial_horizon),
+            )
+        assert str(batch_exc.value) == str(scalar_exc.value)
