@@ -38,7 +38,6 @@ from repro.exec.uxs import (
     covered_counts,
     generate_offset_stream,
     is_uxs_for_graph_vectorized,
-    splitmix64_block,
 )
 
 __all__ = [
@@ -55,5 +54,4 @@ __all__ = [
     "covered_counts",
     "generate_offset_stream",
     "is_uxs_for_graph_vectorized",
-    "splitmix64_block",
 ]

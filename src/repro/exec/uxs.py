@@ -16,9 +16,9 @@ differential harness):
 * :func:`generate_offset_stream` evaluates SplitMix64 on a whole index
   range at once (the generator's state after ``k`` steps is the closed
   form ``seed + k * GAMMA``), then replays the scalar rejection
-  sampling by filtering the accepted values *in stream order* — a
-  rejection sampler consumes raw words sequentially and emits accepted
-  ones in order, so the filtered subsequence IS the scalar output.
+  sampling *in stream order*, through the block sampler
+  :func:`repro.util.lcg.randrange_block` that the graph builders use
+  too.
 * :func:`apply_uxs_all` / :func:`covered_counts` walk the sequence from
   **all start nodes simultaneously**.  The walk state at each step is a
   *dart* (node, entry port); since every node of degree ``d`` uses
@@ -44,9 +44,9 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.graphs.port_graph import PortLabeledGraph
+from repro.util.lcg import randrange_block
 
 __all__ = [
-    "splitmix64_block",
     "generate_offset_stream",
     "DartWalkTable",
     "apply_uxs_all",
@@ -54,58 +54,20 @@ __all__ = [
     "is_uxs_for_graph_vectorized",
 ]
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_FULL = 1 << 64
-
-
-def splitmix64_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Outputs ``start .. start+count-1`` of ``SplitMix64(seed)``.
-
-    Output ``i`` (0-based) of the scalar generator mixes the state
-    ``seed + (i+1) * GAMMA``; evaluating that closed form over an index
-    range vectorizes the whole stream.
-    """
-    with np.errstate(over="ignore"):
-        index = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        z = np.uint64(seed & (_FULL - 1)) + index * _GAMMA
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
-
-
 def generate_offset_stream(seed: int, bound: int, length: int) -> np.ndarray:
     """``length`` draws of ``SplitMix64(seed).randrange(bound)``, vectorized.
 
-    Bit-identical to the scalar loop, including its rejection sampling:
-    raw 64-bit words at or above the largest multiple of ``bound`` are
-    discarded in stream order, exactly as the scalar sampler does.
-    Streams are prefix-stable — the first ``k`` draws do not depend on
-    ``length`` — which :func:`repro.core.uxs.minimal_verified_uxs`
-    relies on when it scans growing prefixes.
+    Bit-identical to the scalar loop, including its rejection sampling
+    (the loop of :func:`repro.util.lcg.randrange_block`).  Streams are
+    prefix-stable — the first ``k`` draws do not depend on ``length`` —
+    which :func:`repro.core.uxs.minimal_verified_uxs` relies on when it
+    scans growing prefixes.
     """
     if bound <= 0:
         raise ValueError(f"bound must be positive, got {bound}")
     if length < 0:
         raise ValueError(f"length must be non-negative, got {length}")
-    limit = _FULL - (_FULL % bound)
-    out = np.empty(length, dtype=np.int64)
-    filled = 0
-    consumed = 0
-    while filled < length:
-        # Acceptance probability is limit / 2^64 > 1/2; a small slack
-        # factor makes a second round rare.
-        want = length - filled
-        block = splitmix64_block(seed, consumed, want + 16 + want // 8)
-        consumed += len(block)
-        accepted = block if limit >= _FULL else block[block < np.uint64(limit)]
-        take = min(len(accepted), want)
-        out[filled : filled + take] = (
-            accepted[:take] % np.uint64(bound)
-        ).astype(np.int64)
-        filled += take
-    return out
+    return randrange_block(seed, np.full(length, bound, dtype=np.int64))[0]
 
 
 class DartWalkTable:

@@ -474,21 +474,28 @@ def _run_pooled(
             # futures stay mapped — a late success still completes the
             # task idempotently.
             queue.expire_stale_leases()
+            broken: list[Lease] = []
             while len(in_flight) < jobs:
                 lease = queue.lease()
                 if lease is None:
                     break
-                in_flight[_submit(pool, lease)] = lease
-            if not in_flight:
-                return
-            done, _ = wait(
-                in_flight, timeout=POLL_INTERVAL, return_when=FIRST_COMPLETED
-            )
-            broken = []
-            for future in done:
-                lease = in_flight.pop(future)
-                if _settle(queue, lease, future, on_result):
+                try:
+                    in_flight[_submit(pool, lease)] = lease
+                except BrokenProcessPool:
+                    # A worker died after the last wait returned, before
+                    # its future failed: this lease never ran.
                     broken.append(lease)
+                    break
+            if not in_flight and not broken:
+                return
+            if not broken:
+                done, _ = wait(
+                    in_flight, timeout=POLL_INTERVAL, return_when=FIRST_COMPLETED
+                )
+                for future in done:
+                    lease = in_flight.pop(future)
+                    if _settle(queue, lease, future, on_result):
+                        broken.append(lease)
             if broken:
                 # A broken pool loses every in-flight future, so the
                 # crash cannot be pinned on one shard.  Re-run each lost

@@ -31,8 +31,11 @@ from __future__ import annotations
 
 import difflib
 import importlib
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable
+
+from repro.util.encoding import canonical_json
 
 __all__ = [
     "TIERS",
@@ -274,6 +277,14 @@ def _family_catalog() -> str:
     )
 
 
+#: Graphs :func:`build_graph` returned, keyed by the spec's canonical
+#: JSON, least recently used first.  A campaign pass asks for the same
+#: few dozen specs hundreds of times; graphs are immutable (their arrays
+#: are read-only), so every caller can share one instance.
+_GRAPH_CACHE: OrderedDict[str, Any] = OrderedDict()
+_GRAPH_CACHE_SIZE = 64
+
+
 def build_graph(spec: dict):
     """Build a port-labeled graph from a declarative JSON spec.
 
@@ -282,7 +293,24 @@ def build_graph(spec: dict):
     rest are its kwargs.  Unknown families raise a ``KeyError`` that
     suggests near-miss names and lists every family with its required
     kwargs; wrong kwargs raise a ``TypeError`` naming the expected set.
+
+    The last :data:`_GRAPH_CACHE_SIZE` graphs built are kept, so an
+    equal spec returns the same (immutable) graph object without
+    rebuilding it.  Failed builds are not kept.
     """
+    key = canonical_json(spec)
+    graph = _GRAPH_CACHE.get(key)
+    if graph is None:
+        graph = _build_graph(spec)
+        _GRAPH_CACHE[key] = graph
+        if len(_GRAPH_CACHE) > _GRAPH_CACHE_SIZE:
+            _GRAPH_CACHE.popitem(last=False)
+    else:
+        _GRAPH_CACHE.move_to_end(key)
+    return graph
+
+
+def _build_graph(spec: dict):
     kwargs = dict(spec)
     family = kwargs.pop("family", None)
     if family is None:

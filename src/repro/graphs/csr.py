@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["repeat_ranges", "expand_frontier"]
+__all__ = ["repeat_ranges", "expand_frontier", "bfs_distances"]
 
 
 def repeat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -62,3 +62,31 @@ def expand_frontier(
     origins = np.repeat(np.arange(len(nodes), dtype=np.int64), counts)
     targets = indices[repeat_ranges(starts, counts)]
     return origins, targets
+
+
+def bfs_distances(indptr: np.ndarray, indices: np.ndarray, source: int) -> np.ndarray:
+    """BFS distances from ``source`` over a CSR adjacency (-1: unreached).
+
+    Each level expands the whole frontier with two gathers.  Duplicate
+    targets are dropped with the output as the owner array: every
+    unvisited target is stamped with its candidate's mark ``-2 - i`` and
+    only the candidate that reads its own mark back survives, so no
+    level sorts.  Levels do not depend on expansion order, so the values
+    are those of any scalar BFS.
+    """
+    dist = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    dist[source] = 0
+    frontier = np.array([source], dtype=np.int64)
+    level = 0
+    while frontier.size:
+        level += 1
+        starts = indptr[frontier]
+        reached = indices[repeat_ranges(starts, indptr[frontier + 1] - starts)]
+        reached = reached[dist[reached] == -1]
+        if reached.size == 0:
+            break
+        marks = -2 - np.arange(reached.size, dtype=np.int64)
+        dist[reached] = marks
+        frontier = reached[dist[reached] == marks]
+        dist[frontier] = level
+    return dist

@@ -19,11 +19,13 @@ cheap, per the profiling-first guidance of the HPC notes.
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Iterable, Sequence
+from typing import cast
 
 import numpy as np
 
-from repro.graphs.csr import repeat_ranges
+from repro.graphs.csr import bfs_distances
 
 __all__ = ["PortLabeledGraph", "Edge"]
 
@@ -39,8 +41,9 @@ class PortLabeledGraph:
     n:
         Number of nodes; nodes are ``0 .. n-1``.
     edges:
-        Iterable of ``(u, p_u, v, p_v)`` tuples meaning the edge
-        ``{u, v}`` has port ``p_u`` at ``u`` and port ``p_v`` at ``v``.
+        Iterable of ``(u, p_u, v, p_v)`` tuples, or an ``(m, 4)``
+        integer array of such rows, meaning the edge ``{u, v}`` has port
+        ``p_u`` at ``u`` and port ``p_v`` at ``v``.
     validate:
         When true (default), check the port-labeling axioms: every node
         of degree ``d`` uses ports ``0..d-1`` exactly once, the graph is
@@ -48,12 +51,17 @@ class PortLabeledGraph:
 
     Notes
     -----
-    Instances are immutable after construction.
+    Instances are immutable after construction, so one graph may be
+    shared between callers.  The edges are stored once, as a read-only
+    ``(m, 4)`` int64 array (:attr:`edge_array`); :attr:`edges`, the
+    tuple-of-tuples view, is built on first access.  The successor
+    tables, degrees and CSR arrays are read-only as well.
     """
 
     __slots__ = (
         "_n",
-        "_edges",
+        "_edge_array",
+        "_edges_cache",
         "_degrees",
         "_succ_node",
         "_succ_port",
@@ -63,11 +71,14 @@ class PortLabeledGraph:
         "_hash_cache",
     )
 
-    def __init__(self, n: int, edges: Iterable[Edge], *, validate: bool = True) -> None:
+    def __init__(
+        self, n: int, edges: Iterable[Edge] | np.ndarray, *, validate: bool = True
+    ) -> None:
         if n <= 0:
             raise ValueError(f"graph must have at least one node, got n={n}")
         self._n = n
-        self._edges = self._coerce_edges(edges)
+        self._edge_array = self._coerce_edges(edges)
+        self._edges_cache: tuple[Edge, ...] | None = None
 
         # Vectorized happy path (bincount degrees + one fancy-indexed
         # table fill); any axiom violation falls back to the scalar
@@ -76,6 +87,8 @@ class PortLabeledGraph:
         tables = self._build_tables_vectorized()
         if tables is None:
             tables = self._build_tables_scalar()
+        for table in tables:
+            table.setflags(write=False)
         degrees, succ_node, succ_port = tables
 
         self._degrees = degrees
@@ -83,7 +96,7 @@ class PortLabeledGraph:
         self._succ_port = succ_port
         self._max_degree = int(degrees.max()) if n > 0 else 0
         self._csr_cache: tuple[np.ndarray, np.ndarray] | None = None
-        self._canonical_cache: tuple[Edge, ...] | None = None
+        self._canonical_cache: np.ndarray | None = None
         self._hash_cache: int | None = None
 
         if validate:
@@ -91,27 +104,33 @@ class PortLabeledGraph:
             self._validate_connected()
 
     @staticmethod
-    def _coerce_edges(edges: Iterable[Edge]) -> tuple[Edge, ...]:
-        """Normalize ``edges`` to a tuple of int 4-tuples.
+    def _coerce_edges(edges: Iterable[Edge] | np.ndarray) -> np.ndarray:
+        """Normalize ``edges`` to a fresh read-only ``(m, 4)`` int64 array.
 
-        Tries one bulk ``np.asarray`` cast first; irregular input
-        (ragged rows, non-numeric entries) drops to the scalar
-        conversion, which raises the historical per-edge messages.
+        Tries one bulk cast first; irregular input (ragged rows,
+        non-numeric entries) drops to the scalar conversion, which
+        raises the historical per-edge messages.
         """
-        edge_seq = edges if isinstance(edges, (list, tuple)) else list(edges)
-        if edge_seq:
-            arr: np.ndarray | None
+        if isinstance(edges, (np.ndarray, list, tuple)):
+            edge_seq = edges
+        else:
+            edge_seq = list(edges)
+        arr: np.ndarray | None = None
+        if len(edge_seq):
             try:
-                arr = np.asarray(edge_seq, dtype=np.int64)
+                arr = np.array(edge_seq, dtype=np.int64)
             except (TypeError, ValueError, OverflowError):
                 arr = None
-            if arr is not None and arr.ndim == 2 and arr.shape[1] == 4:
-                return tuple(tuple(row) for row in arr.tolist())  # type: ignore[return-value]
-        edge_list = [tuple(int(x) for x in e) for e in edge_seq]
-        for e in edge_list:
-            if len(e) != 4:
-                raise ValueError(f"edge must be (u, p_u, v, p_v), got {e}")
-        return tuple(edge_list)  # type: ignore[return-value]
+            if arr is None or arr.ndim != 2 or arr.shape[1] != 4:
+                edge_list = [tuple(int(x) for x in e) for e in edge_seq]
+                for e in edge_list:
+                    if len(e) != 4:
+                        raise ValueError(f"edge must be (u, p_u, v, p_v), got {e}")
+                arr = np.array(edge_list, dtype=np.int64)
+        else:
+            arr = np.empty((0, 4), dtype=np.int64)
+        arr.setflags(write=False)
+        return arr
 
     def _build_tables_vectorized(
         self,
@@ -123,11 +142,11 @@ class PortLabeledGraph:
         input-ordered error reporting.
         """
         n = self._n
-        if not self._edges:
+        arr = self._edge_array
+        if not len(arr):
             degrees = np.zeros(n, dtype=np.int64)
             shape = (n, 1)
             return degrees, np.full(shape, -1, np.int64), np.full(shape, -1, np.int64)
-        arr = np.asarray(self._edges, dtype=np.int64)
         u, pu, v, pv = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
         endpoints = np.concatenate([u, v])
         if (endpoints < 0).any() or (endpoints >= n).any() or (u == v).any():
@@ -143,8 +162,11 @@ class PortLabeledGraph:
         target_ports = np.concatenate([pv, pu])
         if (ports < 0).any() or (ports >= degrees[rows]).any():
             return None
-        keys = rows * np.int64(max_degree) + ports
-        if len(np.unique(keys)) != len(keys):  # some port assigned twice
+        # With every port below its node's degree, the dart's CSR slot
+        # ``offset[row] + port`` lies in ``0 .. 2m-1``; 2m darts fill the
+        # 2m slots once each unless some port is assigned twice.
+        slots = (np.cumsum(degrees) - degrees)[rows] + ports
+        if (np.bincount(slots, minlength=len(slots)) > 1).any():
             return None
 
         shape = (n, max(max_degree, 1))
@@ -160,7 +182,7 @@ class PortLabeledGraph:
         raised.  Only reached when the vectorized build bails."""
         n = self._n
         degrees = np.zeros(n, dtype=np.int64)
-        for u, _pu, v, _pv in self._edges:
+        for u, _pu, v, _pv in self.edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge endpoint out of range in {(u, v)}")
             if u == v:
@@ -173,7 +195,7 @@ class PortLabeledGraph:
         # succ_port[v, p] = the port of that same edge at the neighbor.
         succ_node = np.full((n, max(max_degree, 1)), -1, dtype=np.int64)
         succ_port = np.full((n, max(max_degree, 1)), -1, dtype=np.int64)
-        for u, pu, v, pv in self._edges:
+        for u, pu, v, pv in self.edges:
             for a, pa, b, pb in ((u, pu, v, pv), (v, pv, u, pu)):
                 if not (0 <= pa < degrees[a]):
                     raise ValueError(
@@ -195,8 +217,17 @@ class PortLabeledGraph:
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        """The port-labeled edge list this graph was built from."""
-        return self._edges
+        """The port-labeled edge list this graph was built from, as
+        ``(u, p_u, v, p_v)`` tuples (built on first access)."""
+        if self._edges_cache is None:
+            rows = map(tuple, self._edge_array.tolist())
+            self._edges_cache = cast("tuple[Edge, ...]", tuple(rows))
+        return self._edges_cache
+
+    @property
+    def edge_array(self) -> np.ndarray:
+        """Read-only ``(m, 4)`` int64 array of :attr:`edges`, same order."""
+        return self._edge_array
 
     @property
     def max_degree(self) -> int:
@@ -309,9 +340,11 @@ class PortLabeledGraph:
     def distances_from(self, source: int) -> np.ndarray:
         """BFS distances from ``source`` (vector of length ``n``).
 
-        Runs on the cached CSR adjacency: each level expands the whole
-        frontier with two gathers, so the cost is ``O(n + m)`` array
-        work with no per-node Python.  Values are bit-identical to
+        Runs on the cached CSR adjacency through
+        :func:`repro.graphs.csr.bfs_distances`: each level expands the
+        whole frontier with two gathers and drops duplicates without a
+        sort, so the cost is ``O(n + m)`` array work with no per-node
+        Python.  Values are bit-identical to
         :meth:`distances_from_reference` (BFS levels do not depend on
         expansion order).
         """
@@ -321,20 +354,7 @@ class PortLabeledGraph:
         if not 0 <= source < n:
             raise IndexError(f"source {given} out of range for n={n}")
         indptr, indices = self._csr()
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[source] = 0
-        frontier = np.array([source], dtype=np.int64)
-        level = 0
-        while frontier.size:
-            level += 1
-            starts = indptr[frontier]
-            reached = indices[repeat_ranges(starts, indptr[frontier + 1] - starts)]
-            reached = reached[dist[reached] == -1]
-            if reached.size == 0:
-                break
-            frontier = np.unique(reached)
-            dist[frontier] = level
-        return dist
+        return bfs_distances(indptr, indices, source)
 
     def distances_from_reference(self, source: int) -> np.ndarray:
         """Retained scalar BFS — the differential baseline for
@@ -370,7 +390,7 @@ class PortLabeledGraph:
 
         g = nx.Graph()
         g.add_nodes_from(range(self._n))
-        for u, pu, v, pv in self._edges:
+        for u, pu, v, pv in self.edges:
             g.add_edge(u, v, ports={u: pu, v: pv})
         return g
 
@@ -379,41 +399,59 @@ class PortLabeledGraph:
         return bool((self._degrees == self._degrees[0]).all())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PortLabeledGraph(n={self._n}, m={len(self._edges)})"
+        return f"PortLabeledGraph(n={self._n}, m={len(self._edge_array)})"
 
-    def _canonical_edges(self) -> tuple[Edge, ...]:
-        """Edges with the lower-id endpoint first, sorted — the
-        orientation-insensitive identity used by ``__eq__``/``__hash__``.
+    def _canonical(self) -> np.ndarray:
+        """Edges with the lower-id endpoint first, in ascending order of
+        that endpoint's dart ``u * max_degree + p_u`` — the
+        orientation- and order-insensitive identity used by
+        ``__eq__``/``__hash__``.
 
-        Memoized: instances are immutable, and the per-graph symmetry
-        kernel cache (:func:`repro.symmetry.context.symmetry_context`)
+        A dart belongs to exactly one edge, so the order is total and is
+        the lexicographic order of the oriented ``(u, p_u, v, p_v)``
+        rows.  Memoized: instances are immutable, and the per-graph
+        symmetry kernel cache (:func:`repro.symmetry.context.symmetry_context`)
         hashes graphs on every wrapper call.
         """
         if self._canonical_cache is None:
-            self._canonical_cache = tuple(
-                sorted(
-                    (u, pu, v, pv) if u <= v else (v, pv, u, pu)
-                    for u, pu, v, pv in self._edges
-                )
-            )
+            e = self._edge_array
+            flip = (e[:, 0] > e[:, 2])[:, None]
+            oriented = np.where(flip, e[:, [2, 3, 0, 1]], e)
+            darts = oriented[:, 0] * self._max_degree + oriented[:, 1]
+            canonical = oriented[np.argsort(darts)]
+            canonical.setflags(write=False)
+            self._canonical_cache = canonical
         return self._canonical_cache
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PortLabeledGraph):
             return NotImplemented
-        return self._n == other._n and self._canonical_edges() == other._canonical_edges()
+        return self._n == other._n and np.array_equal(
+            self._canonical(), other._canonical()
+        )
 
     def __hash__(self) -> int:
+        """A fixed 64-bit digest of ``n`` and the canonical edge array,
+        so the value does not depend on ``PYTHONHASHSEED``."""
         if self._hash_cache is None:
-            self._hash_cache = hash((self._n, self._canonical_edges()))
+            digest = hashlib.blake2b(int(self._n).to_bytes(8, "little"), digest_size=8)
+            digest.update(self._canonical().astype("<i8", copy=False).tobytes())
+            self._hash_cache = int.from_bytes(digest.digest(), "little", signed=True)
         return self._hash_cache
 
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
     def _validate_simple(self) -> None:
+        e = self._edge_array
+        lo = np.minimum(e[:, 0], e[:, 2])
+        keys = np.sort(lo * self._n + np.maximum(e[:, 0], e[:, 2]))
+        if not (keys[1:] == keys[:-1]).any():
+            return
+        # Some edge repeats: the scalar scan names the first repeat in
+        # input order, with the message it has always raised.
         seen: set[tuple[int, int]] = set()
-        for u, _pu, v, _pv in self._edges:
+        for u, _pu, v, _pv in self.edges:
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise ValueError(f"parallel edge {key}: the model uses simple graphs")

@@ -4,11 +4,24 @@ Random connected graphs with random port permutations exercise the
 algorithms on unstructured inputs.  Everything is keyed by an explicit
 seed through :class:`repro.util.SplitMix64`, so test failures replay
 exactly.
+
+Construction runs on arrays.  Each run of independent draws — a stub
+shuffle's swap indices, a tree's parents, every node's port
+permutation — is taken in one :meth:`SplitMix64.randrange_many` block,
+which reads the stream exactly as the one-draw-at-a-time loop does.
+Only the stub swaps, which depend on each other, stay a list loop.  The
+simple-graph and connectivity tests and the port assignment are array
+operations, and the result reaches :class:`PortLabeledGraph` as one
+``(m, 4)`` edge array.  Every graph is edge-for-edge the one the scalar
+loops built (``tests/graphs/test_builder_differential.py``).
 """
 
 from __future__ import annotations
 
-from repro.graphs.port_graph import Edge, PortLabeledGraph
+import numpy as np
+
+from repro.graphs.csr import bfs_distances, repeat_ranges
+from repro.graphs.port_graph import PortLabeledGraph
 from repro.util.lcg import SplitMix64, derive_seed
 
 __all__ = [
@@ -24,13 +37,13 @@ def random_tree(n: int, seed: int) -> PortLabeledGraph:
 
     Each node ``i >= 1`` attaches to a uniformly random earlier node
     (a random recursive tree), then ports are randomly permuted at
-    every node via :func:`random_port_permutation`.
+    every node, as by :func:`random_port_permutation`.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     rng = SplitMix64(derive_seed("random_tree", n, seed))
-    pairs = [(rng.randrange(i), i) for i in range(1, n)]
-    return _with_random_ports(n, pairs, rng)
+    children = np.arange(1, n)
+    return _with_random_ports(n, rng.randrange_many(children), children, rng)
 
 
 def random_connected_graph(n: int, extra_edges: int, seed: int) -> PortLabeledGraph:
@@ -49,8 +62,9 @@ def random_connected_graph(n: int, extra_edges: int, seed: int) -> PortLabeledGr
     if n < 1:
         raise ValueError("need n >= 1")
     rng = SplitMix64(derive_seed("random_graph", n, extra_edges, seed))
-    pairs = [(rng.randrange(i), i) for i in range(1, n)]
-    present = {(min(a, b), max(a, b)) for a, b in pairs}
+    parents = rng.randrange_many(np.arange(1, n))
+    pairs = list(zip(parents.tolist(), range(1, n)))
+    present = set(pairs)
     max_extra = n * (n - 1) // 2 - len(present)
     budget = min(extra_edges, max_extra)
     attempts = 0
@@ -77,7 +91,8 @@ def random_connected_graph(n: int, extra_edges: int, seed: int) -> PortLabeledGr
             key = complement.pop(rng.randrange(len(complement)))
             present.add(key)
             pairs.append(key)
-    return _with_random_ports(n, pairs, rng)
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return _with_random_ports(n, ends[:, 0], ends[:, 1], rng)
 
 
 def random_regular_graph(n: int, degree: int, seed: int) -> PortLabeledGraph:
@@ -97,39 +112,39 @@ def random_regular_graph(n: int, degree: int, seed: int) -> PortLabeledGraph:
     if (n * degree) % 2:
         raise ValueError(f"n * degree must be even, got n={n}, degree={degree}")
     rng = SplitMix64(derive_seed("random_regular", n, degree, seed))
-    stubs = [v for v in range(n) for _ in range(degree)]
+    stubs = np.repeat(np.arange(n), degree).tolist()
+    # Fisher-Yates over the stub list (swap i with j = randrange(i + 1)
+    # for i from the top down), then match consecutive stubs.  The
+    # list is not reset between attempts: a redraw reshuffles the last
+    # matching, exactly as the stream has always been read.
+    positions = range(len(stubs) - 1, 0, -1)
+    bounds = np.arange(len(stubs), 1, -1)
     for _ in range(1000):
-        # Fisher-Yates over the stub list, then match consecutive stubs.
-        for i in range(len(stubs) - 1, 0, -1):
-            j = rng.randrange(i + 1)
+        for i, j in zip(positions, rng.randrange_many(bounds).tolist()):
             stubs[i], stubs[j] = stubs[j], stubs[i]
-        pairs = [
-            (min(a, b), max(a, b))
-            for a, b in zip(stubs[::2], stubs[1::2])
-        ]
-        if any(a == b for a, b in pairs) or len(set(pairs)) < len(pairs):
+        matched = np.array(stubs, dtype=np.int64).reshape(-1, 2)
+        lo = matched.min(axis=1)
+        hi = matched.max(axis=1)
+        if (lo == hi).any():
             continue
-        if _connected(n, pairs):
-            return _with_random_ports(n, pairs, rng)
+        keys = np.sort(lo * n + hi)
+        if (keys[1:] == keys[:-1]).any():
+            continue
+        if _connected(n, lo, hi):
+            return _with_random_ports(n, lo, hi, rng)
     raise ValueError(
         f"no simple connected {degree}-regular matching found for n={n} "
         f"(seed {seed}); the parameter combination is too constrained"
     )
 
 
-def _connected(n: int, pairs: list[tuple[int, int]]) -> bool:
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for a, b in pairs:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adjacency[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
+def _connected(n: int, a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the edges ``a[k]-b[k]`` connect all ``n`` nodes."""
+    rows = np.concatenate([a, b])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indices = np.concatenate([b, a])[np.argsort(rows)]
+    return bool((bfs_distances(indptr, indices, 0) >= 0).all())
 
 
 def random_port_permutation(degree: int, rng: SplitMix64) -> list[int]:
@@ -142,19 +157,44 @@ def random_port_permutation(degree: int, rng: SplitMix64) -> list[int]:
 
 
 def _with_random_ports(
-    n: int, pairs: list[tuple[int, int]], rng: SplitMix64
+    n: int, a: np.ndarray, b: np.ndarray, rng: SplitMix64
 ) -> PortLabeledGraph:
-    degree = [0] * n
-    for a, b in pairs:
-        degree[a] += 1
-        degree[b] += 1
-    perms = [random_port_permutation(degree[v], rng) for v in range(n)]
-    counter = [0] * n
-    edges: list[Edge] = []
-    for a, b in pairs:
-        pa = perms[a][counter[a]]
-        pb = perms[b][counter[b]]
-        counter[a] += 1
-        counter[b] += 1
-        edges.append((a, pa, b, pb))
+    """Edges ``(a[k], pa, b[k], pb)`` with random ports, as the scalar
+    construction numbers them.
+
+    Node ``v`` draws :func:`random_port_permutation` of its degree, in
+    node order, all from one block; the ``r``-th edge at ``v`` (in edge
+    order) takes entry ``r`` of that permutation.
+    """
+    ends = np.stack([a, b], axis=1).reshape(-1)
+    degree = np.bincount(ends, minlength=n)
+    # Node v's ports are perm[offset[v] : offset[v] + degree[v]], first
+    # in order.  Its Fisher-Yates draws j = randrange(i + 1) for
+    # i = d-1 .. 1, i.e. bounds d, d-1, .., 2, start at draws[first[v]].
+    offset = np.cumsum(degree) - degree
+    perm = np.arange(len(ends)) - np.repeat(offset, degree)
+    steps = np.maximum(degree - 1, 0)
+    first = np.cumsum(steps) - steps
+    draws = rng.randrange_many(
+        np.repeat(degree, steps) - repeat_ranges(np.zeros(n, np.int64), steps)
+    )
+    # Step t swaps position d-1-t with its draw at every node that has a
+    # step t; nodes are independent, so a step is one fancy-indexed swap
+    # over the ``live[t]`` nodes of most steps.
+    by_steps = np.argsort(-steps, kind="stable")
+    live = n - np.cumsum(np.bincount(steps))
+    for t in range(len(live) - 1):
+        nodes = by_steps[: live[t]]
+        i = offset[nodes] + steps[nodes] - t
+        j = offset[nodes] + draws[first[nodes] + t]
+        held = perm[i]
+        perm[i] = perm[j]
+        perm[j] = held
+    # The r-th edge at a node (in edge order) takes its port r: with the
+    # endpoints interleaved a0, b0, a1, b1, .. and stably grouped by
+    # node, endpoint k sits at CSR slot ``slot[k]``.
+    slot = np.empty_like(ends)
+    slot[np.argsort(ends, kind="stable")] = np.arange(len(ends))
+    ports = perm[slot].reshape(-1, 2)
+    edges = np.stack([a, ports[:, 0], b, ports[:, 1]], axis=1)
     return PortLabeledGraph(n, edges)

@@ -427,6 +427,29 @@ def run_schedule_adversary(
 # ---------------------------------------------------------------------------
 
 
+def _pull_starves(
+    cum: np.ndarray, trace_u: PortTrace, trace_v: PortTrace, fuel: int
+) -> bool:
+    """Whether a pending cell's next unserved pull is a fuel fault.
+
+    A cell stays pending when some agent is activated for a traversal
+    past its compiled prefix.  The scalar engine pulls agent 0 before
+    agent 1 within an event, so the first such pull decides: it faults
+    when its trace ended in ``fuel`` consecutive waits (deepening
+    cannot add a move there); otherwise the sweep deepens.
+    """
+    rows = []
+    for agent, trace in ((0, trace_u), (1, trace_v)):
+        over = cum[:, agent] > trace.moves
+        rows.append(
+            int(over.argmax()) if not trace.complete and over.any() else len(cum)
+        )
+    if rows[0] == rows[1] == len(cum):
+        return False
+    trace = trace_u if rows[0] <= rows[1] else trace_v
+    return trace.error is None and trace.tail_waits >= fuel
+
+
 def run_schedule_sweep(
     graph: PortLabeledGraph,
     cells: Iterable,
@@ -510,8 +533,11 @@ def run_schedule_sweep(
     # or spent ``fuel`` consecutive wait actions without moving — the
     # batch rendering of the scalar engine's per-pull fuel limit.  Move
     # needs are re-derived from the *still-pending* cells every round,
-    # so a straggler cell never deepens (or fuel-faults) traces that
-    # only already-resolved cells asked about.
+    # so a straggler cell never deepens traces that only
+    # already-resolved cells asked about.  The fuel fault is raised
+    # after the solve, and only by a cell still pending on a starved
+    # trace (:func:`_pull_starves`): a cell that meets before its
+    # agent's starved pull resolves like the scalar engine's.
     traces: dict[int, PortTrace] = {}
 
     def step(pending: Sequence[int], horizon: int) -> Mapping[int, AsyncOutcome]:
@@ -529,32 +555,20 @@ def run_schedule_sweep(
                 traces[s].complete
                 or traces[s].error is not None
                 or traces[s].moves >= n
+                or traces[s].tail_waits >= fuel
             )
         }
         if growing:
             traces.update(compiler.traces({s: horizon for s in growing}))
-            for s in growing:
-                trace = traces[s]
-                if (
-                    not trace.complete
-                    and trace.error is None
-                    and trace.moves < need_moves[s]
-                    and trace.tail_waits >= fuel
-                ):
-                    raise RuntimeError(
-                        "agent produced no move within the fuel limit"
-                    )
         decided: dict[int, AsyncOutcome] = {}
         for i in pending:
             u, v, schedule = items[i]
-            outcome = _try_solve_cell(
-                cums[(id(schedule), budgets[i])],
-                budgets[i],
-                traces[u],
-                traces[v],
-            )
+            cum = cums[(id(schedule), budgets[i])]
+            outcome = _try_solve_cell(cum, budgets[i], traces[u], traces[v])
             if outcome is not _PENDING:
                 decided[i] = outcome
+            elif _pull_starves(cum, traces[u], traces[v], fuel):
+                raise RuntimeError("agent produced no move within the fuel limit")
         return decided
 
     # A trace cut at clock ``h`` holds at most ``h`` moves, so the

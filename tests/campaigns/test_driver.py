@@ -106,3 +106,36 @@ class TestRunShardAndMerge:
         record = merge(config, results)
         assert record.passed is False
         assert record.rows[0]["verdict"] == "FAIL"
+
+
+def test_core_fast_tier_builds_each_graph_once(monkeypatch):
+    """One core fast-tier pass asks ``build_graph`` for the same few
+    dozen specs hundreds of times; each family builder runs once per
+    distinct spec."""
+    import dataclasses
+    from collections import Counter, OrderedDict
+
+    from repro.campaigns.registry import get_campaign
+    from repro.experiments import scenarios
+    from repro.experiments.orchestrator import run_suite
+    from repro.util.encoding import canonical_json
+
+    built: Counter = Counter()
+
+    def counting(name, build):
+        def wrapper(**kwargs):
+            built[canonical_json({"family": name, **kwargs})] += 1
+            return build(**kwargs)
+
+        return wrapper
+
+    families = {
+        name: dataclasses.replace(entry, build=counting(name, entry.build))
+        for name, entry in scenarios.GRAPH_FAMILIES.items()
+    }
+    monkeypatch.setattr(scenarios, "GRAPH_FAMILIES", families)
+    monkeypatch.setattr(scenarios, "_GRAPH_CACHE", OrderedDict())
+    (run,) = run_suite([get_campaign("core")], tier="fast", seed=0, jobs=1, store=None)
+    assert run.record.passed
+    assert len(built) >= 20
+    assert set(built.values()) == {1}

@@ -37,7 +37,6 @@ from repro.exec.uxs import (
     covered_counts,
     generate_offset_stream,
     is_uxs_for_graph_vectorized,
-    splitmix64_block,
 )
 from repro.graphs.enumeration import enumerate_port_labeled_graphs
 from repro.graphs.families import (
@@ -48,7 +47,7 @@ from repro.graphs.families import (
     two_node_graph,
 )
 from repro.graphs.random_graphs import random_connected_graph
-from repro.util.lcg import SplitMix64, derive_seed
+from repro.util.lcg import SplitMix64, derive_seed, splitmix64_block
 
 RANDOM_GRAPHS = [
     random_connected_graph(n, extra, seed=seed)

@@ -17,9 +17,8 @@ from repro.exec.uxs import (
     covered_counts,
     generate_offset_stream,
     is_uxs_for_graph_vectorized,
-    splitmix64_block,
 )
-from repro.util.lcg import SplitMix64
+from repro.util.lcg import SplitMix64, splitmix64_block
 
 CASE_SEEDS = list(range(200))
 

@@ -63,3 +63,60 @@ def test_crash_is_charged_to_the_crashing_shard_only(tmp_path, monkeypatch):
     assert boom.quarantined and boom.attempts == 2
     assert "injected failure" in boom.error
     assert run.shards_quarantined == 2 and not run.record.passed
+
+
+HEALTHY_MODULE = "repro_test_healthy_driver"
+
+HEALTHY_DRIVER = '''
+def make_shards(config):
+    return [{"cell": name} for name in ("a", "b", "c", "d")]
+
+
+def run_shard(config, shard):
+    return {"cell": shard["cell"], "ok": True}
+
+
+def merge(config, shard_results):
+    from repro.experiments.records import ExperimentRecord
+
+    record = ExperimentRecord(
+        exp_id="HEALTHY", title="t", paper_claim="c", columns=["cell"]
+    )
+    record.passed = all(r["ok"] for r in shard_results)
+    return record
+'''
+
+
+def test_pool_broken_at_submit_reruns_the_unsubmitted_lease(tmp_path, monkeypatch):
+    """A worker can die after ``wait`` returns and before its future
+    fails; the next ``submit`` then raises ``BrokenProcessPool``.  That
+    lease never ran: it is re-run alone like the lost in-flight ones,
+    and the run completes."""
+    import repro.experiments.queue as queue_module
+
+    (tmp_path / f"{HEALTHY_MODULE}.py").write_text(HEALTHY_DRIVER)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    real_submit = queue_module._submit
+    calls = []
+
+    def submit(pool, lease):
+        calls.append(lease.task.shard["cell"])
+        if len(calls) == 3:
+            raise queue_module.BrokenProcessPool("injected at submit")
+        return real_submit(pool, lease)
+
+    monkeypatch.setattr(queue_module, "_submit", submit)
+    spec = ScenarioSpec(
+        exp_id="HEALTHY",
+        title="broken pool at submit",
+        module=HEALTHY_MODULE,
+        shard_axis="cell",
+        tiers={"smoke": {}},
+    )
+    [run] = run_suite([spec], tier="smoke", jobs=2, store=None, max_retries=0)
+
+    assert len(calls) > 3  # the injected failure happened mid-run
+    assert [shard.result for shard in run.shards] == [
+        {"cell": cell, "ok": True} for cell in "abcd"
+    ]
+    assert run.shards_quarantined == 0 and run.record.passed

@@ -314,6 +314,70 @@ def test_pure_waiter_hits_fuel_limit():
         )
 
 
+def test_meeting_before_a_starved_pull_is_not_a_fuel_fault():
+    """An agent that moves once and then waits forever starves only at
+    its second pull.  Under ``a`` then seven ``b`` events the pair meets
+    at event 3, before that pull, so the sweep must return the scalar
+    outcome instead of raising on the fuel-starved trace."""
+
+    def leaf_mover(percept):
+        if percept.degree == 1:
+            percept = yield Move(0)
+            while True:
+                percept = yield Wait()
+        while True:
+            percept = yield Move(0)
+
+    g = path_graph(5)
+    schedule = WordSchedule(("a",) + ("b",) * 7)
+    ref = run_schedule_adversary(
+        g, 0, 3, leaf_mover, schedule, max_events=1000, fuel=64
+    )
+    assert ref.met and ref.meeting_node == 1 and ref.events == 3
+    for initial_horizon in FIRST_HORIZONS:
+        got = run_schedule_sweep(
+            g,
+            [(0, 3, schedule)],
+            leaf_mover,
+            max_events=1000,
+            fuel=64,
+            **_horizon_kwargs(initial_horizon),
+        )
+        assert got == [ref], initial_horizon
+
+
+def test_starved_agent_waits_while_its_partner_deepens():
+    """The starved agent's next pull (event 301) comes after the meeting
+    (event 150), but the partner's trace is still too short to show it
+    once the first agent's trace has run out of fuel.  The sweep must
+    deepen the partner, not raise."""
+
+    def leaf_mover(percept):
+        if percept.degree == 1:
+            percept = yield Move(0)
+            while True:
+                percept = yield Wait()
+        while True:
+            percept = yield Move(0)
+
+    g = path_graph(200)
+    schedule = WordSchedule(("a",) + ("b",) * 300)
+    ref = run_schedule_adversary(
+        g, 0, 150, leaf_mover, schedule, max_events=400, fuel=64
+    )
+    assert ref.met and ref.meeting_node == 1 and ref.events == 150
+    for initial_horizon in FIRST_HORIZONS:
+        got = run_schedule_sweep(
+            g,
+            [(0, 150, schedule)],
+            leaf_mover,
+            max_events=400,
+            fuel=64,
+            **_horizon_kwargs(initial_horizon),
+        )
+        assert got == [ref], initial_horizon
+
+
 # ---------------------------------------------------------------------------
 # The first compile depth
 # ---------------------------------------------------------------------------

@@ -151,6 +151,18 @@ def test_structured_families_blocked_bit_identical(graph):
     assert_blocked_matches(graph)
 
 
+def test_distances_from_matches_reference_on_1e4_random_regular():
+    """The owner-deduplicated single-source BFS at scale: frontiers of
+    thousands of nodes with many repeated targets per level."""
+    graph = build_graph(
+        {"family": "random_regular", "n": 10_000, "degree": 3, "seed": 2}
+    )
+    for source in (0, 4_321, 9_999):
+        assert np.array_equal(
+            graph.distances_from(source), graph.distances_from_reference(source)
+        )
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_exhaustive_tiny_classes_blocked(n):
     for graph in enumerate_port_labeled_graphs(n):
