@@ -263,6 +263,13 @@ def phase_duration(profile: Profile, phase: int) -> int:
     return total
 
 
+#: Running sums of :func:`phase_duration` per profile configuration:
+#: ``_PHASE_PREFIX[key][p]`` is the total duration of phases ``1 .. p``.
+#: Budgets are asked for over and over with the same profile, so each
+#: phase's duration is computed once, not once per call.
+_PHASE_PREFIX: dict[tuple, list[int]] = {}
+
+
 def universal_round_budget(profile: Profile, n: int, d: int, delta: int) -> int:
     """Rounds (from the later agent's start) by which UniversalRV must
     have met, for a STIC whose decisive triple is ``(n, d, delta)``.
@@ -273,7 +280,17 @@ def universal_round_budget(profile: Profile, n: int, d: int, delta: int) -> int:
     segment); for symmetric positions it is ``(n, Shrink, delta)``.
     """
     last = triple(n, d, delta + 1)
-    return sum(phase_duration(profile, p) for p in range(1, last + 1))
+    key = (
+        type(profile),
+        profile.label_mode,
+        profile.view_mode,
+        profile.uxs_scale,
+        profile.view_depth_cap,
+    )
+    prefix = _PHASE_PREFIX.setdefault(key, [0])
+    for p in range(len(prefix), last + 1):
+        prefix.append(prefix[-1] + phase_duration(profile, p))
+    return prefix[last]
 
 
 def universal_stic_budget(

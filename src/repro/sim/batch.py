@@ -53,23 +53,10 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.exec.deepen import resolve_adaptive
-from repro.exec.meeting import (
-    PENDING as _PENDING,
-)
-from repro.exec.meeting import (
-    resolve_sync_cell,
-    solve_sync_meeting,
-)
-from repro.exec.trace import (
-    BadPortChoice as _BadPortChoice,
-)
-from repro.exec.trace import (
-    PortTrace,
-    TraceCompiler,
-)
-from repro.exec.trace import (
-    raise_for_stic as _raise_for_stic,
-)
+from repro.exec.meeting import PENDING as _PENDING
+from repro.exec.meeting import resolve_sync_cell, solve_sync_meeting
+from repro.exec.trace import PortTrace, TraceCompiler
+from repro.exec.trace import raise_for_stic as _raise_for_stic
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.sim.scheduler import RendezvousResult, SimulationLimit
 

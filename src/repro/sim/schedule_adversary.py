@@ -50,12 +50,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.exec.deepen import resolve_adaptive
-from repro.exec.meeting import (
-    PENDING as _PENDING,
-)
-from repro.exec.meeting import (
-    resolve_async_cell as _try_solve_cell,
-)
+from repro.exec.meeting import PENDING as _PENDING
+from repro.exec.meeting import resolve_async_cell as _try_solve_cell
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.sim.actions import Move, Perception, Wait, WaitBlock
 from repro.sim.agent import AgentScript
@@ -278,6 +274,7 @@ class RandomSchedule(ActivationSchedule):
     between the scalar and batched engines)."""
 
     _CODES = ((True, False), (False, True), (True, True))
+    _MASKS = np.array(_CODES, dtype=bool)
 
     def __init__(self, seed: int, weights: tuple[int, int, int] = (1, 1, 2)) -> None:
         if len(weights) != 3 or any(w < 0 for w in weights) or sum(weights) == 0:
@@ -286,23 +283,32 @@ class RandomSchedule(ActivationSchedule):
         self.weights = tuple(weights)
         self.name = f"rand[{seed}]"
         self._rng = SplitMix64(derive_seed("activation-schedule", seed))
-        self._cache: list[int] = []
+        self._codes = np.empty(0, dtype=np.int8)
 
     def _extend(self, length: int) -> None:
+        """Draw event codes through ``length``, in doubling blocks.
+
+        The draws are ``randrange(sum(weights))`` of one fixed stream,
+        so drawing ahead never changes a code, and the scalar engine's
+        one-event-at-a-time queries cost amortized O(1) each."""
+        have = len(self._codes)
+        if have >= length:
+            return
+        count = max(length - have, have, 64)
+        rolls = self._rng.randrange_many(
+            np.full(count, sum(self.weights), dtype=np.int64)
+        )
         wa, wb, _ = self.weights
-        total = sum(self.weights)
-        while len(self._cache) < length:
-            roll = self._rng.randrange(total)
-            self._cache.append(0 if roll < wa else 1 if roll < wa + wb else 2)
+        codes = (rolls >= wa).astype(np.int8) + (rolls >= wa + wb)
+        self._codes = np.concatenate((self._codes, codes))
 
     def active(self, event: int) -> tuple[bool, bool]:
         self._extend(event + 1)
-        return self._CODES[self._cache[event]]
+        return self._CODES[self._codes[event]]
 
     def mask(self, horizon: int) -> np.ndarray:
         self._extend(horizon)
-        codes = np.asarray(self._cache[:horizon], dtype=np.int64)
-        return np.array(self._CODES, dtype=bool)[codes]
+        return self._MASKS[self._codes[:horizon]]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from repro.core import (
     tuned_profile,
     universal_round_budget,
 )
-from repro.core.pairing import untriple
+from repro.core.pairing import triple, untriple
 from repro.core.profile import TUNED
 from repro.graphs import (
     complete_graph,
@@ -100,11 +100,31 @@ class TestPhaseAccounting:
 
     def test_budget_is_sum_of_phases(self):
         total = universal_round_budget(TUNED, 2, 1, 1)
-        from repro.core.pairing import triple
-
         assert total == sum(
             phase_duration(TUNED, p) for p in range(1, triple(2, 1, 2) + 1)
         )
+
+    @pytest.mark.parametrize(
+        "profile", [TUNED, tuned_profile(view_mode="faithful")], ids=repr
+    )
+    def test_budget_prefix_sums_match_direct_sum(self, profile, monkeypatch):
+        """The memoized running sum equals the direct phase sum, both
+        when every query extends the memo (ascending phases) and when
+        all but the first read inside it (descending)."""
+        import repro.core.universal as universal
+
+        def last(t):
+            return triple(t[0], t[1], t[2] + 1)
+
+        grid = [
+            (n, d, dl) for n in range(1, 6) for d in range(1, n + 1) for dl in (0, 1, 3)
+        ]
+        for order in (sorted(grid, key=last), sorted(grid, key=last, reverse=True)):
+            monkeypatch.setattr(universal, "_PHASE_PREFIX", {})
+            for n, d, delta in order:
+                phases = range(1, last((n, d, delta)) + 1)
+                direct = sum(phase_duration(profile, p) for p in phases)
+                assert universal_round_budget(profile, n, d, delta) == direct
 
     def test_duration_depends_only_on_profile_and_phase(self):
         assert phase_duration(TUNED, 17) == phase_duration(TUNED, 17)

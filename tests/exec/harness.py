@@ -1,13 +1,13 @@
-"""Engine-equivalence fixture library for the execution-core refactor.
+"""Engine-vs-scalar fixture library for the execution core.
 
-The old-vs-new contract: every engine rewired over :mod:`repro.exec`
-must be bit-identical to the code it replaced.  This module supplies
-the three ingredients the differential suites share:
+The contract: every engine built over :mod:`repro.exec` must be
+bit-identical to its retained scalar reference —
+:func:`repro.sim.scheduler.run_rendezvous` for the STIC sweep,
+:func:`repro.sim.schedule_adversary.run_schedule_adversary` for the
+schedule sweep, and :func:`repro.core.uxs.apply_uxs` /
+:func:`repro.core.uxs.is_uxs_for_graph_scalar` for the UXS kernel.
+This module supplies the two ingredients the differential suites share:
 
-* **frozen legacy engines** — :func:`load_legacy` imports
-  ``benchmarks/_legacy_engines.py``, the pre-refactor solver/sweep
-  layers preserved verbatim (the same copy the throughput benchmark
-  times);
 * **a deterministic fuzz corpus** — seeded graph, agent, STIC,
   schedule, and UXS-stream generators (pure functions of their seeds,
   so every run and every worker sees the same instances);
@@ -24,10 +24,7 @@ arguments.
 
 from __future__ import annotations
 
-import importlib.util
 import os
-import pathlib
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
@@ -35,23 +32,6 @@ from repro.graphs import oriented_ring, oriented_torus, path_graph, star_graph
 from repro.graphs.random_graphs import random_connected_graph
 from repro.sim import Move, Wait, WaitBlock
 from repro.util.lcg import SplitMix64, derive_seed
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-
-_LEGACY = None
-
-
-def load_legacy():
-    """The frozen pre-refactor engines (``benchmarks/_legacy_engines.py``)."""
-    global _LEGACY
-    if _LEGACY is None:
-        path = REPO_ROOT / "benchmarks" / "_legacy_engines.py"
-        spec = importlib.util.spec_from_file_location("_legacy_engines", path)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules.setdefault("_legacy_engines", module)
-        spec.loader.exec_module(module)
-        _LEGACY = module
-    return _LEGACY
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +82,21 @@ def terminating_agent(seed: int, lifetime: int):
                 percept = yield Move(rng.randrange(percept.degree))
             else:
                 percept = yield Wait()
+
+    return algorithm
+
+
+def exploding_agent(lifetime: int):
+    """Moves ``lifetime`` plus its start node's degree times, then
+    raises an error naming the degrees it saw: the failing round and
+    the message both tell starts (and so agents) apart."""
+
+    def algorithm(percept):
+        degrees = []
+        for _ in range(lifetime + percept.degree):
+            degrees.append(percept.degree)
+            percept = yield Move(percept.clock % percept.degree)
+        raise RuntimeError(f"boom after degrees {degrees}")
 
     return algorithm
 
@@ -200,11 +195,12 @@ def assert_engines_identical(
 ) -> None:
     """Run every case through ``case_fn`` and fail on any mismatch.
 
-    ``case_fn(*case)`` returns ``None`` when old and new engines agree
-    bit-for-bit on that case, or a short detail string describing the
-    first divergence.  With ``jobs > 1`` cases run in a process pool
-    (``case_fn`` and the case tuples must be picklable); the corpus is
-    deterministic either way, so failures reproduce inline.
+    ``case_fn(*case)`` returns ``None`` when the engine agrees
+    bit-for-bit with its scalar reference on that case, or a short
+    detail string describing the first divergence.  With ``jobs > 1``
+    cases run in a process pool (``case_fn`` and the case tuples must
+    be picklable); the corpus is deterministic either way, so failures
+    reproduce inline.
     """
     if min_cases is not None:
         assert len(cases) >= min_cases, (
@@ -224,6 +220,15 @@ def assert_engines_identical(
     assert not failures, (
         f"{len(failures)}/{len(cases)} cases diverged:\n" + "\n".join(failures[:10])
     )
+
+
+def outcome(fn: Callable[[], object]) -> object:
+    """What ``fn()`` gives: its return value, or the ``(exception type
+    name, message)`` it raises — the unit of error-parity checks."""
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - parity check
+        return type(exc).__name__, str(exc)
 
 
 def _star_apply(packed):

@@ -1,24 +1,25 @@
-"""Differential fuzz: the unified asynchronous schedule sweep against
-the frozen pre-refactor engine (and the retained scalar adversary).
+"""Differential fuzz: the asynchronous schedule sweep against the
+scalar adversary.
 
-Every ``(graph, agent, pair, schedule)`` cell must produce a
-bit-identical :class:`~repro.sim.schedule_adversary.AsyncOutcome` —
-``met`` / ``meeting_node`` / ``events`` / ``edge_meetings`` — between
-:func:`repro.sim.schedule_adversary.run_schedule_sweep` (now a
-frontend over ``repro.exec``) and the pre-refactor loop preserved in
-``benchmarks/_legacy_engines.py``.
+Every ``(graph, agent, pair, schedule)`` cell must give an equal
+:class:`~repro.sim.schedule_adversary.AsyncOutcome` — ``met`` /
+``meeting_node`` / ``events`` / ``edge_meetings`` — from
+:func:`repro.sim.schedule_adversary.run_schedule_sweep` (a frontend
+over ``repro.exec``) and from
+:func:`repro.sim.schedule_adversary.run_schedule_adversary`, on every
+cell.  Script errors, port errors and fuel starvation must raise the
+same exception with the same message.
 """
-
-import pytest
 
 from harness import (
     assert_engines_identical,
+    event_budget,
+    exploding_agent,
     graph_pool,
-    load_legacy,
+    outcome,
     schedule_corpus,
     seeded_agent,
     terminating_agent,
-    event_budget,
 )
 from repro.sim import Move, Wait
 from repro.sim.schedule_adversary import (
@@ -35,37 +36,25 @@ CASES = [
 ]
 
 
-def schedule_case(graph_idx: int, agent_seed: int) -> str | None:
-    """One corpus cell: sweep-vs-legacy on 12 cells, full equality."""
-    graph, cells = schedule_corpus(graph_idx, agent_seed)
-    new = run_schedule_sweep(
-        graph, cells, seeded_agent(agent_seed), max_events=event_budget
-    )
-    old = load_legacy().legacy_run_schedule_sweep(
-        graph, cells, seeded_agent(agent_seed), max_events=event_budget
-    )
-    for (u, v, schedule), a, b in zip(cells, new, old):
-        if a != b:
-            return f"cell {(u, v, schedule.name)}: new={a} old={b}"
-    # Spot-check the retained scalar reference on the first few cells.
-    for u, v, schedule in cells[:4]:
+def diff_cells(graph, cells, algorithm, max_events) -> str | None:
+    """Sweep vs scalar adversary on every cell, full equality."""
+    outcomes = run_schedule_sweep(graph, cells, algorithm, max_events=max_events)
+    if len(outcomes) != len(cells):
+        return f"{len(outcomes)} outcomes for {len(cells)} cells"
+    for (u, v, schedule), got in zip(cells, outcomes):
+        budget = max_events(u, v, schedule) if callable(max_events) else max_events
         ref = run_schedule_adversary(
-            graph,
-            u,
-            v,
-            seeded_agent(agent_seed),
-            schedule,
-            max_events=event_budget(u, v, schedule),
+            graph, u, v, algorithm, schedule, max_events=budget
         )
-        got = new[cells.index((u, v, schedule))]
-        if (got.met, got.meeting_node, got.events, got.edge_meetings) != (
-            ref.met,
-            ref.meeting_node,
-            ref.events,
-            ref.edge_meetings,
-        ):
-            return f"cell {(u, v, schedule.name)} scalar: {got} vs {ref}"
+        if got != ref:
+            return f"cell {(u, v, schedule.name)}: sweep={got} scalar={ref}"
     return None
+
+
+def schedule_case(graph_idx: int, agent_seed: int) -> str | None:
+    """One corpus cell: sweep vs scalar on all 12 cells."""
+    graph, cells = schedule_corpus(graph_idx, agent_seed)
+    return diff_cells(graph, cells, seeded_agent(agent_seed), event_budget)
 
 
 def test_corpus_size():
@@ -74,26 +63,53 @@ def test_corpus_size():
     assert total >= 200, total
 
 
-def test_sweep_matches_legacy_and_scalar():
+def test_sweep_matches_scalar():
     assert_engines_identical(schedule_case, CASES, min_cases=len(CASES))
 
 
 def terminating_case(graph_idx: int, lifetime: int) -> str | None:
     graph, cells = schedule_corpus(graph_idx, 100 + lifetime)
-    algo = terminating_agent(3, lifetime)
-    new = run_schedule_sweep(graph, cells, algo, max_events=120)
-    old = load_legacy().legacy_run_schedule_sweep(
-        graph, cells, algo, max_events=120
-    )
-    for (u, v, schedule), a, b in zip(cells, new, old):
-        if a != b:
-            return f"cell {(u, v, schedule.name)}: new={a} old={b}"
-    return None
+    return diff_cells(graph, cells, terminating_agent(3, lifetime), 120)
 
 
 def test_terminating_agents_match():
     cases = [(g, life) for g in (1, 3, 5) for life in (0, 1, 5, 17)]
     assert_engines_identical(terminating_case, cases)
+
+
+def error_case(graph_idx: int, lifetime: int) -> str | None:
+    """Per cell and per event budget: the sweep raises exactly when,
+    and exactly what, the scalar adversary raises — also when the
+    traces are compiled a move at a time (``horizon=1``)."""
+    graph, cells = schedule_corpus(graph_idx, 200 + lifetime)
+    algorithm = exploding_agent(lifetime)
+    for u, v, schedule in cells:
+        moves = {lifetime + graph.degree(u), lifetime + graph.degree(v)}
+        for budget in sorted({1, 60} | {m + s for m in moves for s in (0, 1)}):
+            scalar = outcome(
+                lambda: run_schedule_adversary(
+                    graph, u, v, algorithm, schedule, max_events=budget
+                )
+            )
+            for horizon in (1, 1024):
+                sweep = outcome(
+                    lambda: run_schedule_sweep(
+                        graph,
+                        [(u, v, schedule)],
+                        algorithm,
+                        max_events=budget,
+                        initial_horizon=horizon,
+                    )[0]
+                )
+                if sweep != scalar:
+                    cell = (u, v, schedule.name)
+                    return f"cell {cell} budget {budget}: {sweep} vs {scalar}"
+    return None
+
+
+def test_error_binding_corpus():
+    cases = [(g, life) for g in (0, 4, 5) for life in (0, 3, 9)]
+    assert_engines_identical(error_case, cases)
 
 
 def test_error_parity():
@@ -109,17 +125,19 @@ def test_error_parity():
             percept = yield Move(7)
 
     graph = graph_pool()[2]
-    legacy = load_legacy()
-    for algo, exc_type in ((explodes, RuntimeError), (bad, ValueError)):
-        with pytest.raises(exc_type) as new_exc:
-            run_schedule_sweep(
+    for algo, exc_type in ((explodes, "RuntimeError"), (bad, "ValueError")):
+        sweep = outcome(
+            lambda: run_schedule_sweep(
                 graph, [(0, 3, MirrorSchedule())], algo, max_events=50
             )
-        with pytest.raises(exc_type) as old_exc:
-            legacy.legacy_run_schedule_sweep(
-                graph, [(0, 3, MirrorSchedule())], algo, max_events=50
+        )
+        scalar = outcome(
+            lambda: run_schedule_adversary(
+                graph, 0, 3, algo, MirrorSchedule(), max_events=50
             )
-        assert str(new_exc.value) == str(old_exc.value)
+        )
+        assert sweep == scalar
+        assert sweep[0] == exc_type
 
 
 def test_fuel_limit_parity():
@@ -130,12 +148,15 @@ def test_fuel_limit_parity():
             percept = yield Wait()
 
     graph = graph_pool()[1]
-    with pytest.raises(RuntimeError, match="fuel") as new_exc:
-        run_schedule_sweep(
+    sweep = outcome(
+        lambda: run_schedule_sweep(
             graph, [(0, 2, MirrorSchedule())], waiter, max_events=10, fuel=64
         )
-    with pytest.raises(RuntimeError, match="fuel") as old_exc:
-        load_legacy().legacy_run_schedule_sweep(
-            graph, [(0, 2, MirrorSchedule())], waiter, max_events=10, fuel=64
+    )
+    scalar = outcome(
+        lambda: run_schedule_adversary(
+            graph, 0, 2, waiter, MirrorSchedule(), max_events=10, fuel=64
         )
-    assert str(new_exc.value) == str(old_exc.value)
+    )
+    assert sweep == scalar
+    assert sweep[0] == "RuntimeError" and "fuel" in sweep[1]

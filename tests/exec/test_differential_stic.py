@@ -1,21 +1,24 @@
-"""Differential fuzz: the unified synchronous STIC sweep against the
-frozen pre-refactor engine (and the retained scalar scheduler).
+"""Differential fuzz: the synchronous STIC sweep against the scalar
+scheduler.
 
-Every ``(graph, agent, STIC)`` instance must produce a bit-identical
-:class:`~repro.sim.scheduler.RendezvousResult` — full dataclass
-equality, every field — between :func:`repro.sim.batch.
-run_rendezvous_batch` (now a frontend over ``repro.exec``) and the
-pre-refactor loop preserved in ``benchmarks/_legacy_engines.py``.
-Error binding (which STIC an agent exception is raised for, and with
-what message) is part of the contract and fuzzed separately.
+Every ``(graph, agent, STIC)`` instance must give the same
+:class:`~repro.sim.scheduler.RendezvousResult` from
+:func:`repro.sim.batch.run_rendezvous_batch` (a frontend over
+``repro.exec``) and from :func:`repro.sim.scheduler.run_rendezvous`:
+``met``, ``meeting_node``, ``meeting_time``, ``time_from_later`` and
+``rounds_executed`` equal on every STIC of every cell, with the batch
+engine recording no crossings and no traces.  Error binding (which
+STIC an agent exception is raised for, and with what message) is part
+of the contract and fuzzed separately.
 """
 
 import pytest
 
 from harness import (
     assert_engines_identical,
+    exploding_agent,
     graph_pool,
-    load_legacy,
+    outcome,
     seeded_agent,
     stic_budget,
     stic_corpus,
@@ -31,42 +34,43 @@ CASES = [
     for graph_idx in range(len(graph_pool()))
     for agent_seed in AGENT_SEEDS
 ]
+FIELDS = ("met", "meeting_node", "meeting_time", "time_from_later", "rounds_executed")
 
 
-def stic_case(graph_idx: int, agent_seed: int) -> str | None:
-    """One corpus cell: batch-vs-legacy on 12 STICs, full equality."""
-    graph, stics = stic_corpus(graph_idx, agent_seed)
-    new = run_rendezvous_batch(
-        graph, stics, seeded_agent(agent_seed), max_rounds=stic_budget
+def fields(result) -> tuple:
+    """The result fields the batch engine shares with the scalar."""
+    return tuple(getattr(result, field) for field in FIELDS)
+
+
+def diff_stics(graph, stics, algorithm, *, oracle=None) -> str | None:
+    """Batch vs scalar on every STIC (budgets from ``stic_budget``);
+    ``oracle`` maps a start node to its agent's oracle."""
+    results = run_rendezvous_batch(
+        graph, stics, algorithm, max_rounds=stic_budget, oracle_factory=oracle
     )
-    old = load_legacy().legacy_run_rendezvous_batch(
-        graph, stics, seeded_agent(agent_seed), max_rounds=stic_budget
-    )
-    for stic, a, b in zip(stics, new, old):
-        if a != b:
-            return f"stic {stic}: new={a} old={b}"
-    # Spot-check the retained scalar reference on the first few STICs.
-    for u, v, delta in stics[:4]:
+    if len(results) != len(stics):
+        return f"{len(results)} results for {len(stics)} STICs"
+    for (u, v, delta), got in zip(stics, results):
+        if got.crossings != () or got.traces is not None:
+            return f"stic {(u, v, delta)}: batch recorded crossings/traces: {got}"
         ref = run_rendezvous(
             graph,
             u,
             v,
             delta,
-            seeded_agent(agent_seed),
+            algorithm,
             max_rounds=stic_budget(u, v, delta),
+            oracles=None if oracle is None else (oracle(u), oracle(v)),
         )
-        got = new[stics.index((u, v, delta))]
-        fields = (
-            "met",
-            "meeting_node",
-            "meeting_time",
-            "time_from_later",
-            "rounds_executed",
-        )
-        for f in fields:
-            if getattr(got, f) != getattr(ref, f):
-                return f"stic {(u, v, delta)} scalar {f}: {got} vs {ref}"
+        if fields(got) != fields(ref):
+            return f"stic {(u, v, delta)}: batch={got} scalar={ref}"
     return None
+
+
+def stic_case(graph_idx: int, agent_seed: int) -> str | None:
+    """One corpus cell: batch vs scalar on all 12 STICs."""
+    graph, stics = stic_corpus(graph_idx, agent_seed)
+    return diff_stics(graph, stics, seeded_agent(agent_seed))
 
 
 def test_corpus_size():
@@ -75,22 +79,14 @@ def test_corpus_size():
     assert total >= 200, total
 
 
-def test_batch_matches_legacy_and_scalar():
+def test_batch_matches_scalar():
     assert_engines_identical(stic_case, CASES, min_cases=len(CASES))
 
 
 def terminating_case(graph_idx: int, lifetime: int) -> str | None:
     """Scripts that end mid-run exercise the complete-trace clamp."""
     graph, stics = stic_corpus(graph_idx, 100 + lifetime)
-    algo = terminating_agent(3, lifetime)
-    new = run_rendezvous_batch(graph, stics, algo, max_rounds=stic_budget)
-    old = load_legacy().legacy_run_rendezvous_batch(
-        graph, stics, algo, max_rounds=stic_budget
-    )
-    for stic, a, b in zip(stics, new, old):
-        if a != b:
-            return f"stic {stic}: new={a} old={b}"
-    return None
+    return diff_stics(graph, stics, terminating_agent(3, lifetime))
 
 
 def test_terminating_agents_match():
@@ -98,29 +94,59 @@ def test_terminating_agents_match():
     assert_engines_identical(terminating_case, cases)
 
 
+def error_case(graph_idx: int, lifetime: int) -> str | None:
+    """Per STIC and per budget around the failing rounds: the batch
+    raises exactly when, and exactly what, the scalar raises — also
+    when the traces are compiled a round at a time (``horizon=1``), so
+    errors are bound across deepening steps."""
+    graph, stics = stic_corpus(graph_idx, 200 + lifetime)
+    algorithm = exploding_agent(lifetime)
+    for u, v, delta in stics:
+        # The agents' failing rounds.
+        around = (lifetime + graph.degree(u), delta + lifetime + graph.degree(v))
+        budgets = {t + slack for t in around for slack in (0, 1)}
+        for budget in sorted(budgets | {stic_budget(u, v, delta)}):
+            scalar = outcome(
+                lambda: fields(
+                    run_rendezvous(graph, u, v, delta, algorithm, max_rounds=budget)
+                )
+            )
+            for horizon in (1, 1024):
+                batch = outcome(
+                    lambda: fields(
+                        run_rendezvous_batch(
+                            graph,
+                            [(u, v, delta)],
+                            algorithm,
+                            max_rounds=budget,
+                            initial_horizon=horizon,
+                        )[0]
+                    )
+                )
+                if batch != scalar:
+                    stic = (u, v, delta)
+                    return f"stic {stic} budget {budget}: {batch} vs {scalar}"
+    return None
+
+
 @pytest.mark.parametrize("delta", [0, 3, 40])
 def test_error_binding_parity(delta):
     """Agent errors bind to the same STIC with the same message."""
-
-    def explodes(percept):
-        for _ in range(6):
-            percept = yield Move(percept.clock % percept.degree)
-        raise RuntimeError("boom")
-
     graph = graph_pool()[2]
-    stics = [(0, 3, delta)]
-    legacy = load_legacy()
-    new_exc = old_exc = None
-    try:
-        run_rendezvous_batch(graph, stics, explodes, max_rounds=50)
-    except Exception as exc:  # noqa: BLE001 - parity check
-        new_exc = (type(exc).__name__, str(exc))
-    try:
-        legacy.legacy_run_rendezvous_batch(graph, stics, explodes, max_rounds=50)
-    except Exception as exc:  # noqa: BLE001 - parity check
-        old_exc = (type(exc).__name__, str(exc))
-    assert new_exc == old_exc
-    assert new_exc is not None  # budget 50 reaches the failing round
+    explodes = exploding_agent(6)  # 8 moves on the ring
+    batch = outcome(
+        lambda: run_rendezvous_batch(graph, [(0, 3, delta)], explodes, max_rounds=50)
+    )
+    scalar = outcome(
+        lambda: run_rendezvous(graph, 0, 3, delta, explodes, max_rounds=50)
+    )
+    # Budget 50 reaches the failing round.
+    assert batch == scalar == ("RuntimeError", f"boom after degrees {[2] * 8}")
+
+
+def test_error_binding_corpus():
+    cases = [(g, life) for g in (0, 4, 5) for life in (0, 3, 9)]
+    assert_engines_identical(error_case, cases)
 
 
 def test_bad_port_message_parity():
@@ -132,36 +158,20 @@ def test_bad_port_message_parity():
             percept = yield Move(7)
 
     graph = graph_pool()[1]
-    with pytest.raises(ValueError) as new_exc:
-        run_rendezvous_batch(graph, [(0, 2, 5)], bad, max_rounds=60)
-    with pytest.raises(ValueError) as old_exc:
-        load_legacy().legacy_run_rendezvous_batch(
-            graph, [(0, 2, 5)], bad, max_rounds=60
-        )
-    assert str(new_exc.value) == str(old_exc.value)
+    batch = outcome(
+        lambda: run_rendezvous_batch(graph, [(0, 2, 5)], bad, max_rounds=60)
+    )
+    scalar = outcome(lambda: run_rendezvous(graph, 0, 2, 5, bad, max_rounds=60))
+    assert batch == scalar
+    assert batch[0] == "ValueError"
 
 
-def test_oracle_mode_matches_legacy():
-    """Per-start oracle tries survive the rewiring."""
+def test_oracle_mode_matches_scalar():
+    """Per-start oracles reach each agent as the scheduler's would."""
 
     def algorithm(percept, oracle):
         while True:
             percept = yield Move((percept.clock + oracle) % percept.degree)
 
-    graph = graph_pool()[3]
-    _, stics = stic_corpus(3, 7)
-    new = run_rendezvous_batch(
-        graph,
-        stics,
-        algorithm,
-        max_rounds=stic_budget,
-        oracle_factory=lambda start: start % 3,
-    )
-    old = load_legacy().legacy_run_rendezvous_batch(
-        graph,
-        stics,
-        algorithm,
-        max_rounds=stic_budget,
-        oracle_factory=lambda start: start % 3,
-    )
-    assert new == old
+    graph, stics = stic_corpus(3, 7)
+    assert diff_stics(graph, stics, algorithm, oracle=lambda start: start % 3) is None

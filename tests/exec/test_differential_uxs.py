@@ -1,17 +1,18 @@
-"""Differential fuzz: the unified UXS coverage kernel against the
-frozen pre-refactor engine (and the retained scalar walk).
+"""Differential fuzz: the UXS coverage kernel against the scalar walk.
 
-Every seeded (graph, offset stream) instance must produce bit-identical
-arrays — the all-starts walk matrix, the per-start coverage counts,
-and the certification verdict — between :mod:`repro.exec.uxs` and
-the pre-refactor kernels preserved in ``benchmarks/_legacy_engines.py``, as well as the scalar
-:func:`repro.core.uxs.apply_uxs` walk.
+Every seeded (graph, offset stream) instance must give the same answers
+from :mod:`repro.exec.uxs` as from the scalar references in
+:mod:`repro.core.uxs`: each start node's row of the all-starts walk
+matrix equals :func:`~repro.core.uxs.apply_uxs` from that start, each
+per-start coverage count equals the number of distinct nodes that walk
+visits, and the certification verdict equals
+:func:`~repro.core.uxs.is_uxs_for_graph_scalar`.
 """
 
 import numpy as np
 
-from harness import assert_engines_identical, load_legacy, uxs_corpus
-from repro.core.uxs import apply_uxs
+from harness import assert_engines_identical, uxs_corpus
+from repro.core.uxs import apply_uxs, is_uxs_for_graph_scalar
 from repro.exec.uxs import (
     apply_uxs_all,
     covered_counts,
@@ -24,21 +25,19 @@ CASE_SEEDS = list(range(200))
 
 
 def uxs_case(case_seed: int) -> str | None:
-    """One instance: all-starts walk + coverage, new vs legacy vs scalar."""
+    """One instance: walk rows, coverage counts and verdict vs scalar."""
     graph, stream = uxs_corpus(case_seed)
-    legacy = load_legacy()
-    new_walk = apply_uxs_all(graph, stream)
-    old_walk = legacy.legacy_apply_uxs_all(graph, stream)
-    if not np.array_equal(new_walk, old_walk):
-        return "apply_uxs_all diverged from legacy"
-    new_counts = covered_counts(graph, stream)
-    old_counts = legacy.legacy_covered_counts(graph, stream)
-    if not np.array_equal(new_counts, old_counts):
-        return f"covered_counts diverged: {new_counts} vs {old_counts}"
-    # Scalar cross-check on a couple of start nodes.
-    for u in (0, graph.n - 1):
-        if list(new_walk[u]) != list(apply_uxs(graph, u, stream)):
+    walks = apply_uxs_all(graph, stream)
+    counts = covered_counts(graph, stream)
+    for u in range(graph.n):
+        ref = apply_uxs(graph, u, stream)
+        if list(walks[u]) != ref:
             return f"walk from {u} diverged from scalar apply_uxs"
+        if counts[u] != len(set(ref)):
+            return f"covered_counts[{u}] = {counts[u]}, scalar {len(set(ref))}"
+    verdict = is_uxs_for_graph_vectorized(graph, stream)
+    if verdict != is_uxs_for_graph_scalar(graph, stream):
+        return f"verdict {verdict} diverged from scalar"
     return None
 
 
@@ -47,26 +46,20 @@ def test_corpus_size():
     assert len(CASE_SEEDS) >= 200
 
 
-def test_coverage_matches_legacy_and_scalar():
+def test_coverage_matches_scalar():
     assert_engines_identical(
         uxs_case, [(s,) for s in CASE_SEEDS], min_cases=200
     )
 
 
-def test_certification_verdict_matches_legacy():
+def test_certification_verdict_matches_scalar():
     """The boolean verdict agrees on covering and non-covering streams."""
-    legacy = load_legacy()
     for case_seed in range(0, 40):
         graph, stream = uxs_corpus(case_seed)
         for prefix in (0, len(stream) // 4, len(stream)):
             new = is_uxs_for_graph_vectorized(graph, stream[:prefix])
-            old = bool(
-                (
-                    legacy.legacy_covered_counts(graph, stream[:prefix])
-                    == graph.n
-                ).all()
-            )
-            assert new == old, (case_seed, prefix)
+            ref = is_uxs_for_graph_scalar(graph, stream[:prefix])
+            assert new == ref, (case_seed, prefix)
 
 
 def test_stream_generation_is_scalar_exact():

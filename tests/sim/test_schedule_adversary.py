@@ -37,7 +37,7 @@ from repro.symmetry import (
     async_feasibility_atlas,
     symmetric_pairs,
 )
-from repro.util.lcg import SplitMix64
+from repro.util.lcg import SplitMix64, derive_seed
 
 
 def move_forever(percept):
@@ -104,6 +104,30 @@ class TestScheduleEncoding:
         head = [s.active(k) for k in range(10)]
         mask = s.mask(40)
         assert [tuple(row) for row in mask[:10]] == head
+
+    @pytest.mark.parametrize(
+        "weights", [(1, 1, 2), (2, 1, 1), (1, 1, 1), (0, 3, 2), (5, 0, 2), (1, 2, 4)]
+    )
+    def test_random_schedule_block_draws_match_event_loop(self, weights):
+        """Block-drawn codes equal one ``randrange`` per event, for
+        totals that are and are not powers of two (rejection sampling),
+        and for queries that extend an already-filled cache."""
+        for seed in (0, 7, 99991):
+            rng = SplitMix64(derive_seed("activation-schedule", seed))
+            wa, wb, _ = weights
+            ref = []
+            for _ in range(2000):
+                roll = rng.randrange(sum(weights))
+                code = 0 if roll < wa else 1 if roll < wa + wb else 2
+                ref.append(((True, False), (False, True), (True, True))[code])
+            schedule = RandomSchedule(seed, weights=weights)
+            assert schedule.active(0) == ref[0]
+            for horizon in (1, 5, 64, 65, 200, 129, 1000, 2000):
+                mask = schedule.mask(horizon)
+                assert mask.shape == (horizon, 2)
+                assert [tuple(row) for row in mask] == ref[:horizon]
+            for event in (1999, 3, 640, 1023, 1024):
+                assert schedule.active(event) == ref[event]
 
     def test_word_schedule_rejects_bad_symbols(self):
         with pytest.raises(ValueError, match="unknown schedule symbol"):
