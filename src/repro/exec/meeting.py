@@ -105,7 +105,7 @@ def resolve_sync_cell(
     trace_u: PortTrace,
     trace_v: PortTrace,
     raise_on_limit: bool,
-    solver: Any = None,
+    solver: Any = solve_sync_meeting,
 ) -> Any:  # RendezvousResult, or the PENDING sentinel
     """Resolve one STIC from (possibly truncated) traces.
 
@@ -117,10 +117,7 @@ def resolve_sync_cell(
     through.
     """
     limit = min(max_rounds, trace_u.limit, delta + trace_v.limit)
-    if solver is None:
-        hit = solve_sync_meeting(trace_u, trace_v, delta, int(limit))
-    else:
-        hit = solver(trace_u, trace_v, delta, int(limit))
+    hit = solver(trace_u, trace_v, delta, int(limit))
     if hit is not None:
         t, node = hit
         return RendezvousResult(
@@ -151,7 +148,7 @@ def resolve_sync_cell(
     err_u = trace_u.limit if trace_u.error is not None else math.inf
     err_v = delta + trace_v.limit if trace_v.error is not None else math.inf
     nearest = min(err_u, err_v)
-    if nearest <= limit and nearest < max_rounds:
+    if nearest <= limit:
         if err_u <= err_v:
             raise_for_stic(trace_u.error, 0)
         raise_for_stic(trace_v.error, delta)

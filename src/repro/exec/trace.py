@@ -12,16 +12,20 @@ code.  Position updates are one pass over the class's lanes per move
 event, through plain-list mirrors of the successor tables; wait blocks
 advance the clock without touching positions.
 
-A start compiled alone (every start in oracle mode) keeps a resumable
-cursor instead: a deeper horizon continues from where the last compile
-stopped, so adaptive deepening costs time linear in the final horizon.
-In oracle mode, an algorithm that carries a *segment plan* (UniversalRV
-and its asymm-only variant, see :class:`repro.core.universal.
-PlannedAlgorithm`) is not run as one generator at all: its cursor walks
+Compiling is resumable, so adaptive deepening costs time linear in
+the final horizon.  Without oracles, a class the horizon cuts stays
+live (lanes, trie node, generator) and a deeper call continues it;
+only starts never compiled before begin a fresh class at clock 0,
+following the trie.  In oracle mode an oracle may depend on the start,
+so each start is compiled alone from a *segment plan*: a cursor walks
 the plan's segments, expands each :class:`TiledWalk` segment in closed
-form with numpy, and steps a generator only for scripted segments.
-Such a cursor resumes at the last completed segment.  The generator
-path stays the differential oracle for it (``tests/exec/
+form with numpy, and steps a generator only for scripted segments,
+resuming one the horizon cut where it stopped.  Algorithms that carry
+a plan (UniversalRV and its asymm-only variant, see
+:class:`repro.core.universal.PlannedAlgorithm`) supply their phase
+loop; any other oracle-mode algorithm is a plan of one scripted
+segment, its whole script.  That one-segment form stays the
+differential oracle for the planned ones (``tests/exec/
 test_segment_trace.py``).
 
 The compiled :class:`PortTrace` is the IR every engine consumes:
@@ -227,41 +231,6 @@ class _Group:
         return sub
 
 
-class _Cursor:
-    """Resumable compile state of one start on the scalar path.
-
-    ``children`` is the current level of the shared trie, or ``None``
-    in oracle mode (an oracle may depend on the start, so decisions are
-    never interned).  While ``script`` is ``None`` the cursor follows
-    the trie and records its ``(degree, entry, clock)`` history; the
-    generator is built from that history at most once, at the first
-    decision the trie does not know, and the history is dropped.
-    """
-
-    __slots__ = (
-        "pos",
-        "entry",
-        "clock",
-        "children",
-        "script",
-        "hist",
-        "move_clocks",
-        "move_pos",
-        "tail_waits",
-    )
-
-    def __init__(self, start: int, children: dict | None) -> None:
-        self.pos = start
-        self.entry = -1
-        self.clock = 0
-        self.children = children
-        self.script: AgentScript | None = None
-        self.hist: list[tuple[int, int, int]] | None = []
-        self.move_clocks: list[int] = []
-        self.move_pos: list[int] = []
-        self.tail_waits = 0
-
-
 @dataclass(frozen=True)
 class TiledWalk:
     """Closed form of a segment that tiles one walk over an activity word.
@@ -357,20 +326,26 @@ def _take(
 
 
 class _PlanCursor:
-    """Resumable compile state of one start on the segment-plan path,
-    as of the last segment that ran to its end.
+    """Resumable compile state of one start on the segment-plan path.
 
-    ``segment`` is the segment to run next (``None`` until it is drawn
-    from ``segments``); ``times``/``nodes`` hold the trace breakpoints
-    of the completed segments in chunks, the first being the start's.
-    ``tilings`` memoizes closed forms by segment: equal segments recur
-    across phases, and a deeper horizon expands a cut segment again.
+    ``segment`` is the segment to run next or being run (``None`` until
+    it is drawn from ``segments``); ``times``/``nodes`` hold the
+    committed trace breakpoints in chunks, the first being the start's.
+    ``clock``, ``entry`` and ``tail_waits`` describe the end of the
+    committed prefix.  A scripted segment the horizon cuts is committed
+    as far as it ran and keeps its live ``script`` and position ``pos``
+    to continue from.  A tiled segment the horizon cuts is not
+    committed: it is expanded again from its start, which is cheap, and
+    ``tilings`` memoizes closed forms by segment (equal segments recur
+    across phases).
     """
 
     __slots__ = (
         "segments",
         "segment",
         "tilings",
+        "script",
+        "pos",
         "clock",
         "entry",
         "tail_waits",
@@ -382,11 +357,30 @@ class _PlanCursor:
         self.segments = segments
         self.segment: Any = None
         self.tilings: dict[Any, TiledWalk | None] = {}
+        self.script: AgentScript | None = None
+        self.pos = start
         self.clock = 0
         self.entry = -1
         self.tail_waits = 0
         self.times = [np.zeros(1, dtype=np.int64)]
         self.nodes = [np.array([start], dtype=np.int64)]
+
+
+class _WholeScript:
+    """The plan of an oracle-mode algorithm that carries none: one
+    scripted segment, the algorithm's own script."""
+
+    __slots__ = ("algorithm", "oracle")
+
+    def __init__(self, algorithm: Callable, oracle: object) -> None:
+        self.algorithm = algorithm
+        self.oracle = oracle
+
+    def script(self, percept: Perception) -> AgentScript:
+        return self.algorithm(percept, self.oracle)
+
+    def tiling(self, graph: PortLabeledGraph, home: int) -> None:
+        return None
 
 
 class TraceCompiler:
@@ -405,14 +399,17 @@ class TraceCompiler:
         self._graph = graph
         self._algorithm = algorithm
         self._oracle_factory = oracle_factory
-        # A plan needs the start's oracle: without one, the generator runs.
-        self._plan: Callable[[object], Iterator[Any]] | None = (
-            getattr(algorithm, "segment_plan", None)
-            if oracle_factory is not None
-            else None
-        )
+        # Oracle mode compiles every start from a plan (the algorithm's
+        # own, or its whole script as one segment); otherwise classes
+        # of starts share the trie.
+        self._plan: Callable[[object], Iterator[Any]] | None = None
+        if oracle_factory is not None:
+            self._plan = getattr(algorithm, "segment_plan", None) or (
+                lambda oracle: iter((_WholeScript(algorithm, oracle),))
+            )
         self._trie: dict[tuple[int, int], _TrieNode] = {}
-        self._cursors: dict[int, _Cursor] = {}
+        # Classes the horizon cut, by start: a deeper call resumes them.
+        self._groups: dict[int, _Group] = {}
         self._plan_cursors: dict[int, _PlanCursor] = {}
         self._cache: dict[int, PortTrace] = {}
         # Plain-list mirrors of the successor tables: python-int indexing
@@ -430,8 +427,9 @@ class TraceCompiler:
         """Compile (or reuse) traces for many starts at once.
 
         ``horizons`` maps start node to the local clock through which
-        its positions must be defined.  All fresh compilations in one
-        call run to the largest requested horizon, in lockstep.
+        its positions must be defined.  All compilations in one call,
+        fresh or resumed, run to the largest requested horizon; a
+        resumed class advances all its lanes, requested or not.
         """
         jobs = [
             s
@@ -444,18 +442,8 @@ class TraceCompiler:
             if self._plan is not None:
                 for s in starts:
                     self._run_planned(s, horizon)
-            elif self._oracle_factory is not None or len(starts) == 1:
-                # Oracles may depend on the start node, so classes never
-                # merge: each start resumes its own cursor.
-                for s in starts:
-                    self._run_single(s, horizon)
             else:
-                # The ensemble stepper restarts from clock 0; a cursor
-                # left behind would lag its trace.
-                for s in starts:
-                    self._cursors.pop(s, None)
-                group = _Group([int(s) for s in starts], self._trie)
-                self._run_group(group, horizon)
+                self._run_group(starts, horizon)
         return {s: self._cache[s] for s in horizons}
 
     # -- internals --------------------------------------------------------
@@ -471,15 +459,10 @@ class TraceCompiler:
             or trace.valid_through >= horizon
         )
 
-    def _instantiate(self, wake: Perception, start: int) -> AgentScript:
-        if self._oracle_factory is None:
-            return self._algorithm(wake)
-        return self._algorithm(wake, self._oracle_factory(start))
-
     def _replay(self, group: _Group, current: Perception) -> AgentScript:
         """Fresh generator positioned to decide on ``current``."""
         wake = group.percepts[0] if group.percepts else current
-        script = self._instantiate(wake, group.starts[0])
+        script = self._algorithm(wake)
         if group.percepts:
             # Re-feed the recorded stream; by determinism the actions
             # match the trie, so their values are irrelevant here.
@@ -510,183 +493,81 @@ class TraceCompiler:
             TypeError(f"agent yielded {action!r}; expected Move/Wait/WaitBlock")
         )
 
-    def _replay_keys(
-        self, hist: list[tuple[int, int, int]], current: Perception, start: int
-    ) -> AgentScript:
-        """Fresh generator for the singleton path; perceptions are
-        rebuilt from the recorded ``(degree, entry, clock)`` stream."""
-        if not hist:
-            return self._instantiate(current, start)
-        script = self._instantiate(
-            Perception(degree=hist[0][0], entry_port=None, clock=0), start
-        )
-        next(script)
-        for d, e, c in hist[1:]:
-            script.send(
-                Perception(degree=d, entry_port=(None if e < 0 else e), clock=c)
-            )
-        return script
-
-    def _run_single(self, start: int, horizon: int) -> None:
-        """Scalar compile of one start node through ``horizon``,
-        resuming its cursor (the oracle-mode path and the single-start
-        degenerate case of the ensemble stepper)."""
-        cur = self._cursors.get(start)
-        if cur is None:
-            children = None if self._oracle_factory is not None else self._trie
-            cur = self._cursors[start] = _Cursor(start, children)
-        deg = self._deg_list
-        succ = self._succ_list
-        succ_port = self._succ_port_list
-        pos, entry, clock = cur.pos, cur.entry, cur.clock
-        children, script, hist = cur.children, cur.script, cur.hist
-        move_clocks, move_pos = cur.move_clocks, cur.move_pos
-        tail_waits = cur.tail_waits
-        stopped = False
-        error: Exception | None = None
-        while clock <= horizon:
-            d = deg[pos]
-            node = None if children is None else children.get((d, entry))
-            if script is None and node is not None:
-                assert hist is not None
-                hist.append((d, entry, clock))
-                action = node.action
-            else:
-                percept = Perception(
-                    degree=d, entry_port=(None if entry < 0 else entry), clock=clock
-                )
-                first = False
-                if script is None:
-                    # Divergence from the trie (or the first decision):
-                    # the generator is built once and the history dropped.
-                    assert hist is not None
-                    first = not hist
-                    script = self._replay_keys(hist, percept, start)
-                    hist = None
-                action = self._advance(script, percept, first=first)
-                if children is not None:
-                    if node is None:
-                        node = children[(d, entry)] = _TrieNode(action)
-                    else:
-                        action = node.action
-            if node is not None:
-                children = node.children
-            if action is _STOP:
-                stopped = True
-                break
-            if isinstance(action, _Raise):
-                error = action.exc
-                break
-            if isinstance(action, Move):
-                move_clocks.append(clock)
-                row = action.port
-                entry = succ_port[pos][row]
-                pos = succ[pos][row]
-                move_pos.append(pos)
-                clock += 1
-                tail_waits = 0
-            elif isinstance(action, Wait):
-                clock += 1
-                tail_waits += 1
-            else:
-                clock += action.rounds
-                tail_waits += 1
-        if stopped or error is not None:
-            # Final: the trace is sufficient for every later horizon.
-            del self._cursors[start]
-        else:
-            cur.pos, cur.entry, cur.clock = pos, entry, clock
-            cur.children, cur.script, cur.hist = children, script, hist
-            cur.tail_waits = tail_waits
-        times = np.zeros(len(move_clocks) + 1, dtype=np.int64)
-        if move_clocks:
-            times[1:] = np.asarray(move_clocks, dtype=np.int64) + 1
-            nodes = np.concatenate(
-                ([start], np.asarray(move_pos, dtype=np.int64))
-            )
-        else:
-            nodes = np.asarray([start], dtype=np.int64)
-        self._cache[start] = PortTrace(
-            start=start,
-            times=times,
-            nodes=nodes,
-            valid_through=clock,
-            complete=stopped,
-            error=error,
-            tail_waits=tail_waits,
-        )
-
     def _run_planned(self, start: int, horizon: int) -> None:
-        """Compile one start through ``horizon`` from the algorithm's
-        segment plan, resuming its cursor at the last completed segment.
+        """Compile one start through ``horizon`` from its segment plan,
+        resuming its cursor where the last compile stopped.
 
-        Every segment begins and ends at the start node.  A segment
-        with a :class:`TiledWalk` closed form is expanded with numpy;
-        any other segment's script is stepped like a generator.  The
-        trace equals :meth:`_run_single`'s on the algorithm itself.
+        Every segment begins at the start node, and every segment the
+        plan follows with another ends there.  A segment with a
+        :class:`TiledWalk` closed form is expanded with numpy; any
+        other segment's script is stepped like a generator.  A script
+        that fails to instantiate raises out of the call, as the
+        algorithm does on the ensemble path.
         """
         cur = self._plan_cursors.get(start)
         if cur is None:
             assert self._plan is not None and self._oracle_factory is not None
             segments = self._plan(self._oracle_factory(start))
             cur = self._plan_cursors[start] = _PlanCursor(segments, start)
-        clock, entry, tail_waits = cur.clock, cur.entry, cur.tail_waits
-        degree = self._deg_list[start]
+        clock, tail_waits = cur.clock, cur.tail_waits
+        # The breakpoints of a cut tiled segment: never committed.
         times: list[np.ndarray] = []
         nodes: list[np.ndarray] = []
         complete = False
         error: Exception | None = None
         while clock <= horizon:
-            try:
-                segment = cur.segment
-                if segment is None:
-                    segment = cur.segment = next(cur.segments)
-                if segment not in cur.tilings:
-                    cur.tilings[segment] = segment.tiling(self._graph, start)
+            first = cur.script is None
+            if first:
+                try:
+                    segment = cur.segment
+                    if segment is None:
+                        segment = cur.segment = next(cur.segments)
+                    if segment not in cur.tilings:
+                        cur.tilings[segment] = segment.tiling(self._graph, start)
+                except StopIteration:
+                    complete = True
+                    break
+                except Exception as exc:  # agent-code failure: deterministic
+                    error = exc
+                    break
                 tiling = cur.tilings[segment]
-                if tiling is None:
-                    percept = Perception(
-                        degree=degree,
-                        entry_port=(None if entry < 0 else entry),
+                if tiling is not None:
+                    move_clocks, move_nodes, waits_at, waits_end = _tiled_actions(
+                        tiling, start, clock
+                    )
+                    count, clock, tail_waits, done = _take(
+                        move_clocks, waits_at, waits_end, clock, horizon, tail_waits
+                    )
+                    if not done:
+                        times.append(move_clocks[:count] + 1)
+                        nodes.append(move_nodes[:count])
+                        break
+                    cur.times.append(move_clocks + 1)
+                    cur.nodes.append(move_nodes)
+                    cur.segment = None
+                    if count:
+                        # The backtrack's last move re-enters home by
+                        # port 0, the port the walk left by.
+                        cur.entry = 0
+                    cur.clock, cur.tail_waits = clock, tail_waits
+                    continue
+                cur.script = segment.script(
+                    Perception(
+                        degree=self._deg_list[start],
+                        entry_port=(None if cur.entry < 0 else cur.entry),
                         clock=clock,
                     )
-                    script = segment.script(percept)
-            except StopIteration:
-                complete = True
-                break
-            except Exception as exc:  # agent-code failure: deterministic
-                error = exc
-                break
-            if tiling is not None:
-                move_clocks, move_nodes, waits_at, waits_end = _tiled_actions(
-                    tiling, start, clock
                 )
-                count, end, tail, done = _take(
-                    move_clocks, waits_at, waits_end, clock, horizon, tail_waits
-                )
-                move_clocks, move_nodes = move_clocks[:count], move_nodes[:count]
-                # The backtrack's last move re-enters home by port 0,
-                # the port the walk left by.
-                entry_after = 0 if count else entry
-            else:
-                outcome = self._step_script(
-                    script, start, entry, clock, horizon, tail_waits
-                )
-                move_clocks, move_nodes, end, tail, entry_after, status = outcome
-                done = status is _STOP
-                if isinstance(status, _Raise):
-                    error = status.exc
-            times.append(move_clocks + 1)
-            nodes.append(move_nodes)
-            clock, tail_waits = end, tail
-            if not done:
+            move_clocks, move_nodes, status = self._step_script(cur, horizon, first)
+            cur.times.append(move_clocks + 1)
+            cur.nodes.append(move_nodes)
+            clock, tail_waits = cur.clock, cur.tail_waits
+            if status is None:
+                break  # cut: the live script continues from the cursor
+            cur.script = cur.segment = None
+            if isinstance(status, _Raise):
+                error = status.exc
                 break
-            cur.segment = None
-            cur.times += times
-            cur.nodes += nodes
-            times, nodes = [], []
-            entry = cur.entry = entry_after
-            cur.clock, cur.tail_waits = clock, tail_waits
         if complete or error is not None:
             # Final: the trace is sufficient for every later horizon.
             del self._plan_cursors[start]
@@ -703,26 +584,22 @@ class TraceCompiler:
         )
 
     def _step_script(
-        self,
-        script: AgentScript,
-        pos: int,
-        entry: int,
-        clock: int,
-        horizon: int,
-        tail_waits: int,
-    ) -> tuple[np.ndarray, np.ndarray, int, int, int, object]:
-        """Step a fresh segment script until it returns, raises, or
-        starts an action past ``horizon`` (the stepping of
-        :meth:`_run_single`).  Returns its move clocks and nodes, the
-        clock, tail-wait count and entry port after it, and ``_STOP``,
-        a ``_Raise``, or ``None`` when the horizon cut it."""
+        self, cur: _PlanCursor, horizon: int, first: bool
+    ) -> tuple[np.ndarray, np.ndarray, object]:
+        """Step the cursor's live script, ``first`` when it has not yet
+        been started, until it returns, raises, or starts an action
+        past ``horizon``; the cursor's position, entry port, clock and
+        tail waits follow it.  Returns the move clocks and nodes, and
+        ``_STOP``, a ``_Raise``, or ``None`` when the horizon cut it."""
         deg = self._deg_list
         succ = self._succ_list
         succ_port = self._succ_port_list
+        script = cur.script
+        assert script is not None
+        pos, entry, clock, tail_waits = cur.pos, cur.entry, cur.clock, cur.tail_waits
         move_clocks: list[int] = []
         move_pos: list[int] = []
         status: object = None
-        first = True
         while clock <= horizon:
             percept = Perception(
                 degree=deg[pos], entry_port=(None if entry < 0 else entry), clock=clock
@@ -746,20 +623,32 @@ class TraceCompiler:
             else:
                 clock += action.rounds
                 tail_waits += 1
+        cur.pos, cur.entry, cur.clock, cur.tail_waits = pos, entry, clock, tail_waits
         return (
             np.asarray(move_clocks, dtype=np.int64),
             np.asarray(move_pos, dtype=np.int64),
-            clock,
-            tail_waits,
-            entry,
             status,
         )
 
-    def _run_group(self, group: _Group, horizon: int) -> None:
+    def _run_group(self, starts: list[int], horizon: int) -> None:
+        """Advance the classes of ``starts`` through ``horizon``: the
+        live classes of starts compiled before resume where the last
+        call cut them, and the other starts begin one fresh class at
+        clock 0, following the trie.  The fresh class runs last, so
+        it follows whatever the live classes add to the trie."""
+        live: dict[int, _Group] = {}
+        fresh: list[int] = []
+        for s in starts:
+            g = self._groups.get(s)
+            if g is None:
+                fresh.append(int(s))
+            else:
+                live[id(g)] = g
+        worklist = [_Group(fresh, self._trie)] if fresh else []
+        worklist += live.values()
         deg = self._deg_list
         succ = self._succ_list
         succ_port = self._succ_port_list
-        worklist = [group]
         while worklist:
             g = worklist.pop()
             if g.stopped or g.error is not None or g.clock > horizon:
@@ -827,10 +716,17 @@ class TraceCompiler:
                 worklist.append(sub)
 
     def _finalize(self, g: _Group) -> None:
+        """Cache the traces of ``g``'s lanes; keep ``g`` live for a
+        deeper call unless it stopped or raised."""
         times = np.zeros(len(g.move_clocks) + 1, dtype=np.int64)
         if g.move_clocks:
             times[1:] = np.asarray(g.move_clocks, dtype=np.int64) + 1
+        final = g.stopped or g.error is not None
         for start, lane in zip(g.starts, g.poslog):
+            if final:
+                self._groups.pop(start, None)
+            else:
+                self._groups[start] = g
             self._cache[start] = PortTrace(
                 start=start,
                 times=times,

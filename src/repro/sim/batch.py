@@ -36,13 +36,14 @@ Requirements and caveats:
 
 * the algorithm must be *deterministic* — identical perception streams
   must yield identical action streams (the model's own assumption);
-* with ``oracle_factory`` set, each start node is compiled alone with
-  no decision trie (an oracle may depend on the start), so only
-  cross-STIC trace reuse remains — deepening resumes each start's
-  compile instead of restarting it.  An algorithm that carries a
-  segment plan (UniversalRV and the asymm-only variant under an
-  oracle-mode profile) is compiled from the plan, its AsymmRV segments
-  in closed form, without running its generator;
+* with ``oracle_factory`` set, each start node is compiled alone from
+  a segment plan with no decision trie (an oracle may depend on the
+  start), so only cross-STIC trace reuse remains.  An algorithm that
+  carries a plan (UniversalRV and the asymm-only variant under an
+  oracle-mode profile) is compiled from it, its AsymmRV segments in
+  closed form, without running its generator; any other algorithm is
+  a plan of one segment, its whole script.  Either way deepening
+  resumes each start's compile instead of restarting it;
 * an exception raised by agent code is re-raised only for STICs whose
   scalar simulation would actually reach the offending round before
   meeting or running out of budget, mirroring the scheduler.

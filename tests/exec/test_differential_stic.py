@@ -24,6 +24,8 @@ from harness import (
     stic_corpus,
     terminating_agent,
 )
+import repro.sim.batch as batch_module
+from repro.exec.deepen import resolve_adaptive
 from repro.sim import Move
 from repro.sim.batch import run_rendezvous_batch
 from repro.sim.scheduler import run_rendezvous
@@ -42,17 +44,34 @@ def fields(result) -> tuple:
     return tuple(getattr(result, field) for field in FIELDS)
 
 
+#: First compile horizons of every batch run: the default, which settles
+#: the corpus's budgets (at most 800 rounds) in one compile, and 1,
+#: which deepens through them and so checks the resumed compiles.
+FIRST_HORIZONS = (1024, 1)
+
+
 def diff_stics(graph, stics, algorithm, *, oracle=None) -> str | None:
-    """Batch vs scalar on every STIC (budgets from ``stic_budget``);
-    ``oracle`` maps a start node to its agent's oracle."""
-    results = run_rendezvous_batch(
-        graph, stics, algorithm, max_rounds=stic_budget, oracle_factory=oracle
-    )
-    if len(results) != len(stics):
-        return f"{len(results)} results for {len(stics)} STICs"
-    for (u, v, delta), got in zip(stics, results):
-        if got.crossings != () or got.traces is not None:
-            return f"stic {(u, v, delta)}: batch recorded crossings/traces: {got}"
+    """Batch vs scalar on every STIC (budgets from ``stic_budget``), the
+    batch compiled from each of ``FIRST_HORIZONS``; ``oracle`` maps a
+    start node to its agent's oracle."""
+    runs = {
+        horizon: run_rendezvous_batch(
+            graph,
+            stics,
+            algorithm,
+            max_rounds=stic_budget,
+            oracle_factory=oracle,
+            initial_horizon=horizon,
+        )
+        for horizon in FIRST_HORIZONS
+    }
+    for horizon, results in runs.items():
+        if len(results) != len(stics):
+            return (
+                f"first horizon {horizon}: "
+                f"{len(results)} results for {len(stics)} STICs"
+            )
+    for i, (u, v, delta) in enumerate(stics):
         ref = run_rendezvous(
             graph,
             u,
@@ -62,8 +81,13 @@ def diff_stics(graph, stics, algorithm, *, oracle=None) -> str | None:
             max_rounds=stic_budget(u, v, delta),
             oracles=None if oracle is None else (oracle(u), oracle(v)),
         )
-        if fields(got) != fields(ref):
-            return f"stic {(u, v, delta)}: batch={got} scalar={ref}"
+        for horizon, results in runs.items():
+            got = results[i]
+            where = f"stic {(u, v, delta)} (first horizon {horizon})"
+            if got.crossings != () or got.traces is not None:
+                return f"{where}: batch recorded crossings/traces: {got}"
+            if fields(got) != fields(ref):
+                return f"{where}: batch={got} scalar={ref}"
     return None
 
 
@@ -89,9 +113,11 @@ def terminating_case(graph_idx: int, lifetime: int) -> str | None:
     return diff_stics(graph, stics, terminating_agent(3, lifetime))
 
 
+TERMINATING_CASES = [(g, life) for g in (1, 3, 5) for life in (0, 1, 5, 17)]
+
+
 def test_terminating_agents_match():
-    cases = [(g, life) for g in (1, 3, 5) for life in (0, 1, 5, 17)]
-    assert_engines_identical(terminating_case, cases)
+    assert_engines_identical(terminating_case, TERMINATING_CASES)
 
 
 def error_case(graph_idx: int, lifetime: int) -> str | None:
@@ -175,3 +201,33 @@ def test_oracle_mode_matches_scalar():
 
     graph, stics = stic_corpus(3, 7)
     assert diff_stics(graph, stics, algorithm, oracle=lambda start: start % 3) is None
+
+
+def test_first_horizon_one_deepens(monkeypatch):
+    """From first horizon 1 most corpus cells take several deepening
+    steps, so ``diff_stics`` checks resumed compiles against the scalar,
+    not only one-shot ones; so does the oracle cell."""
+    steps: list[tuple[int, int]] = []
+
+    def spy(count, step, **kwargs):
+        horizons: list[int] = []
+
+        def counted(pending, horizon):
+            horizons.append(horizon)
+            return step(pending, horizon)
+
+        results = resolve_adaptive(count, counted, **kwargs)
+        steps.append((kwargs["initial_horizon"], len(horizons)))
+        return results
+
+    monkeypatch.setattr(batch_module, "resolve_adaptive", spy)
+    for case in CASES:
+        assert stic_case(*case) is None
+    for case in TERMINATING_CASES:
+        assert terminating_case(*case) is None
+    corpus = [n for horizon, n in steps if horizon == 1]
+    assert len(corpus) == len(CASES) + len(TERMINATING_CASES)
+    assert sum(n > 1 for n in corpus) >= 0.75 * len(corpus), corpus
+    steps.clear()
+    test_oracle_mode_matches_scalar()
+    assert [n > 1 for horizon, n in steps if horizon == 1] == [True]

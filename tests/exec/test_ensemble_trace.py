@@ -1,13 +1,13 @@
 """The ensemble stepper of :class:`repro.exec.trace.TraceCompiler`
-against its single-start path.
+against single-start compiles.
 
 A call that compiles several starts at once (no oracle) runs them as
 classes of lanes in lockstep, sharing one generator per class and
 splitting a class when its lanes' perceptions diverge.  A call with
-one start runs the scalar cursor path (``_run_single``).  Both must
-give the same :class:`~repro.exec.trace.PortTrace` for every start, on
-every field and dtype, including for classes that split late and for a
-deeper second call that replays the shared trie from clock 0.
+one start runs a one-lane class in a fresh compiler.  Both must give
+the same :class:`~repro.exec.trace.PortTrace` for every start, on
+every field and dtype, including for classes that split late and for
+a deeper second call that resumes the classes the first one cut.
 """
 
 import numpy as np
@@ -73,7 +73,7 @@ AGENTS = {
 
 
 def _single(graph, algorithm, start: int, horizon: int):
-    """The start's trace from the single-start cursor path."""
+    """The start's trace from a fresh compiler, compiled alone."""
     return TraceCompiler(graph, algorithm).traces({start: horizon})[start]
 
 
@@ -100,8 +100,8 @@ def test_group_matches_single_start(graph_name, agent_name):
     shallow = compiler.traces({s: 150 for s in starts})
     for s in starts:
         _assert_same_trace(shallow[s], _single(graph, algorithm, s, 150))
-    # Deeper: the ensemble restarts from clock 0 through the trie the
-    # first call built, then extends it.
+    # Deeper: the classes the first call cut resume, and extend the
+    # trie it built.
     deep = compiler.traces({s: 700 for s in starts})
     for s in starts:
         _assert_same_trace(deep[s], _single(graph, algorithm, s, 700))
@@ -109,8 +109,8 @@ def test_group_matches_single_start(graph_name, agent_name):
 
 def test_late_split_and_trie_replay():
     """On the far-swap ring, a seeded walker's lanes share one class for
-    dozens of moves and then split; the second, deeper call replays the
-    shared trie and builds at most one generator per final class."""
+    dozens of moves and then split; the second, deeper call resumes the
+    cut classes and builds at most one generator per final class."""
     graph = FAR_SWAP_RING
     built = []
     walker = seeded_agent(23)
@@ -138,3 +138,27 @@ def test_late_split_and_trie_replay():
     for s in starts:
         _assert_same_trace(first[s], _single(graph, seeded_agent(23), s, 200))
         _assert_same_trace(deep[s], _single(graph, seeded_agent(23), s, 2000))
+
+
+@pytest.mark.parametrize(
+    "graph", [oriented_ring(6), oriented_torus(4, 4)], ids=["ring_6", "torus_4x4"]
+)
+def test_deepening_resumes_the_live_class(graph):
+    """On a vertex-transitive graph every start is one class; deepening
+    resumes it, so a 1024/4096/16384 ladder builds one generator, and
+    the traces are those of a one-shot compile."""
+    built = []
+    walker = seeded_agent(31)
+
+    def counting(percept):
+        built.append(percept.clock)
+        return walker(percept)
+
+    starts = list(range(graph.n))
+    compiler = TraceCompiler(graph, counting)
+    for horizon in (1024, 4096, 16_384):
+        deep = compiler.traces({s: horizon for s in starts})
+    assert len(built) == 1
+    one_shot = TraceCompiler(graph, walker).traces({s: 16_384 for s in starts})
+    for s in starts:
+        _assert_same_trace(deep[s], one_shot[s])

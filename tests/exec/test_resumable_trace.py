@@ -1,9 +1,11 @@
-"""The resumable scalar compile path of :class:`repro.exec.trace.TraceCompiler`.
+"""Resumable compiles in :class:`repro.exec.trace.TraceCompiler`.
 
-A start compiled alone keeps a cursor (position, entry port, clock,
-trie node, live generator, move log), so each deepening round
-continues where the last one stopped instead of restarting from clock
-0.  These tests pin what that must not change and what it must save:
+In oracle mode each start keeps a plan cursor (committed breakpoints,
+live segment script, position, entry port, clock, tail waits); without
+oracles a class the horizon cut stays live (lanes, trie node, live
+generator, percepts).  Either way each deepening round continues where
+the last one stopped.  These tests pin what that must not change and
+what it must save:
 
 * **oracle mode against the scalar front door**: UniversalRV on every
   fast-tier EXP-L31 case, batched at a horizon that takes several
@@ -17,8 +19,9 @@ continues where the last one stopped instead of restarting from clock
   has the ``times``/``nodes`` arrays of a single compile at the final
   horizon;
 * **one generator per start**: the algorithm is instantiated exactly
-  once per start over all deepening rounds (oracle mode), and at most
-  once per start when the shared trie covers part of its history.
+  once per start over all deepening rounds (oracle mode, where an
+  algorithm without a plan is one scripted segment), and at most once
+  per start when the shared trie covers part of its history.
 """
 
 from collections import Counter

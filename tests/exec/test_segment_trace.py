@@ -16,6 +16,8 @@ so the backtrack begins at clock 14116 and the segment ends at 28232.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,12 @@ import repro.core.universal as universal_module
 from harness import assert_engines_identical, graph_pool
 from repro.baselines.asymm_only import make_asymm_only_algorithm
 from repro.core.profile import TUNED, tuned_profile
-from repro.core.universal import UniversalOracle, make_universal_algorithm
+from repro.core.universal import (
+    AsymmSegment,
+    SymmSegment,
+    UniversalOracle,
+    make_universal_algorithm,
+)
 from repro.exec.trace import TraceCompiler
 from repro.experiments.e_infeasible import _CASES
 from repro.experiments.scenarios import build_graph
@@ -124,6 +131,40 @@ def test_deepened_plan_equals_one_shot_compile(factory_name):
         deepened = stepped.traces({u: horizon, v: horizon})
     direct, _ = _compilers(graph, factory_name)
     one_shot = direct.traces({u: 100_000, v: 100_000})
+    for start in (u, v):
+        assert trace_mismatch(deepened[start], one_shot[start]) is None
+
+
+def test_cut_scripted_segment_resumes(monkeypatch):
+    """A ladder whose horizons fall inside UniversalRV's first SymmRV
+    segment (clocks 56466 to 56862) resumes its script where the last
+    compile stopped: every segment script is instantiated once per
+    start, and the traces equal a one-shot compile."""
+    ladder = (1024, 56_500, 56_700, 100_000)
+    started: list[tuple[str, int, int]] = []
+    for cls in (AsymmSegment, SymmSegment):
+        script = cls.script
+
+        def counting(segment, percept, script=script):
+            started.append((type(segment).__name__, percept.clock, segment.budget))
+            return script(segment, percept)
+
+        monkeypatch.setattr(cls, "script", counting)
+    _, spec, u, v = _CASES["torus3"]
+    graph = build_graph(spec)
+    stepped, _ = _compilers(graph, "universal")
+    for horizon in ladder:
+        deepened = stepped.traces({u: horizon, v: horizon})
+    symm = [(clock, budget) for name, clock, budget in started if name == "SymmSegment"]
+    assert any(
+        clock <= h and h + 1 < clock + 2 * budget
+        for clock, budget in symm
+        for h in ladder[:-1]
+    )
+    assert Counter(started) == {key: 2 for key in started}
+    monkeypatch.undo()
+    direct, _ = _compilers(graph, "universal")
+    one_shot = direct.traces({u: ladder[-1], v: ladder[-1]})
     for start in (u, v):
         assert trace_mismatch(deepened[start], one_shot[start]) is None
 
