@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 
 from repro.analysis.findings import Finding
 
-__all__ = ["Module", "Rule", "RuleCheck", "all_rules", "get_rule", "register_rule"]
+__all__ = ["Module", "Rule", "RuleCheck", "all_rules", "register_rule"]
 
 
 @dataclass(frozen=True)
@@ -103,12 +103,3 @@ def register_rule(
 def all_rules() -> dict[str, Rule]:
     """Registered rules, keyed and iterated in rule-id order."""
     return dict(sorted(_REGISTRY.items()))
-
-
-def get_rule(rule_id: str) -> Rule:
-    """Look up one rule; raises ``KeyError`` with the known ids."""
-    try:
-        return _REGISTRY[rule_id]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(f"unknown rule {rule_id!r}; known rules: {known}") from None

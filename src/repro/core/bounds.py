@@ -9,13 +9,10 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from repro.core.pairing import untriple
-
 __all__ = [
     "symm_rv_time_bound",
     "walk_count_bound",
     "universal_time_envelope",
-    "phases_until",
 ]
 
 
@@ -45,18 +42,3 @@ def universal_time_envelope(n: int, delta: int) -> int:
     """
     base = n + delta + 2
     return base ** (2 * base)
-
-
-def phases_until(n: int, d: int, delta: int) -> int:
-    """Number of phases UniversalRV executes through phase ``g(n, d, delta)``.
-
-    By Proposition 4.1's counting argument this is ``O(n^4 + delta^2)``.
-    """
-    from repro.core.pairing import triple
-
-    return triple(n, d, delta)
-
-
-def decode_phase(p: int) -> tuple[int, int, int]:
-    """``(n, d, delta) = g^-1(P)`` — the assumption triple of phase ``P``."""
-    return untriple(p)

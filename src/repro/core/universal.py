@@ -449,12 +449,6 @@ def universal_feasibility_atlas(
     )
 
 
-@dataclass(frozen=True)
-class _Prediction:
-    feasible: bool
-    decisive_d: int | None
-
-
 def rendezvous(
     graph: PortLabeledGraph,
     u: int,

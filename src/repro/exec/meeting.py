@@ -27,6 +27,7 @@ deepen traces.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Any, NoReturn
 
 import numpy as np
@@ -36,6 +37,7 @@ from repro.sim.scheduler import RendezvousResult, SimulationLimit
 
 __all__ = [
     "PENDING",
+    "AsyncOutcome",
     "first_error_event",
     "raise_for_async",
     "resolve_async_cell",
@@ -46,20 +48,22 @@ __all__ = [
 #: Sentinel: the compiled prefixes are too shallow to decide this cell.
 PENDING = object()
 
-#: Memoized ``AsyncOutcome`` class (schedule_adversary is a frontend
-#: over this module, so the import must be deferred — but only once:
-#: the async resolver runs per cell and an inline import statement in
-#: it is measurable on the benchmark grids).
-_ASYNC_OUTCOME: Any = None
 
+@dataclass(frozen=True)
+class AsyncOutcome:
+    """Result of an adversarially-scheduled asynchronous run.
 
-def _async_outcome_cls() -> Any:
-    global _ASYNC_OUTCOME
-    if _ASYNC_OUTCOME is None:
-        from repro.sim.schedule_adversary import AsyncOutcome
+    ``met`` refers to a *node* meeting; ``edge_meetings`` counts events
+    where the agents traversed the same edge in opposite directions
+    (a meeting under the relaxed asynchronous definition).  ``events``
+    is the event index of the first node meeting, or the full budget
+    when none occurred.
+    """
 
-        _ASYNC_OUTCOME = AsyncOutcome
-    return _ASYNC_OUTCOME
+    met: bool
+    meeting_node: int | None
+    events: int
+    edge_meetings: int
 
 
 # ---------------------------------------------------------------------------
@@ -105,19 +109,15 @@ def resolve_sync_cell(
     trace_u: PortTrace,
     trace_v: PortTrace,
     raise_on_limit: bool,
-    solver: Any = solve_sync_meeting,
 ) -> Any:  # RendezvousResult, or the PENDING sentinel
     """Resolve one STIC from (possibly truncated) traces.
 
     Returns a :class:`RendezvousResult`, raises like the scalar
     scheduler would, or returns :data:`PENDING` when the compiled
-    horizon is too short to decide.  ``solver`` substitutes the
-    meeting solver (``(trace_a, trace_b, delta, limit) -> hit``) —
-    the mutation-test seam frontends route their module-level solver
-    through.
+    horizon is too short to decide.
     """
     limit = min(max_rounds, trace_u.limit, delta + trace_v.limit)
-    hit = solver(trace_u, trace_v, delta, int(limit))
+    hit = solve_sync_meeting(trace_u, trace_v, delta, int(limit))
     if hit is not None:
         t, node = hit
         return RendezvousResult(
@@ -187,15 +187,14 @@ def resolve_async_cell(
     """Resolve one (pair, schedule) cell from (possibly truncated)
     traces.
 
-    Returns an ``AsyncOutcome``, raises like the scalar engine would,
-    or returns :data:`PENDING` when the compiled prefixes are too
-    shallow to decide the cell.  Positions are exact for every event
-    whose cumulative activation counts stay within both compiled
+    Returns an :class:`AsyncOutcome`, raises like the scalar engine
+    would, or returns :data:`PENDING` when the compiled prefixes are
+    too shallow to decide the cell.  Positions are exact for every
+    event whose cumulative activation counts stay within both compiled
     prefixes (a complete trace covers any count: a terminated script
     simply stops moving), so a meeting found inside that region is the
     true earliest one.
     """
-    AsyncOutcome = _ASYNC_OUTCOME or _async_outcome_cls()
     cap_a = budget + 1 if trace_u.complete else trace_u.moves
     cap_b = budget + 1 if trace_v.complete else trace_v.moves
     # Cumulative activation counts are monotone, so "no row exceeds the

@@ -4,23 +4,23 @@ A deterministic agent's choices are a pure function of its *perception
 stream* — the same insight that lets :func:`repro.core.uxs.apply_uxs_ports`
 precompute a UXS walk.  :class:`TraceCompiler` exploits it for whole
 ensembles of start nodes: all requested starts advance in lockstep
-through the graph, starts whose perception streams have been identical
-so far form one *class* sharing a single live generator, and the
-decisions are interned in a trie keyed by ``(degree, entry port)`` so
-later compilations replay them with dict lookups instead of agent
-code.  Position updates are one pass over the class's lanes per move
-event, through plain-list mirrors of the successor tables; wait blocks
-advance the clock without touching positions.
+through the graph, and starts whose perception streams have been
+identical so far form one *class* sharing a single live generator.
+When a class splits, one part keeps the generator and every other part
+re-steps a fresh one on one of its lanes up to the split.  Position
+updates are one pass over the class's lanes per move event, through
+plain-list mirrors of the successor tables; wait blocks advance the
+clock without touching positions.
 
 Compiling is resumable, so adaptive deepening costs time linear in
 the final horizon.  Without oracles, a class the horizon cuts stays
-live (lanes, trie node, generator) and a deeper call continues it;
-only starts never compiled before begin a fresh class at clock 0,
-following the trie.  In oracle mode an oracle may depend on the start,
-so each start is compiled alone from a *segment plan*: a cursor walks
-the plan's segments, expands each :class:`TiledWalk` segment in closed
-form with numpy, and steps a generator only for scripted segments,
-resuming one the horizon cut where it stopped.  Algorithms that carry
+live (lanes and generator) and a deeper call continues it; only
+starts never compiled before begin a fresh class at clock 0.  In
+oracle mode an oracle may depend on the start, so each start is
+compiled alone from a *segment plan*: a cursor walks the plan's
+segments, expands each :class:`TiledWalk` segment in closed form with
+numpy, and steps a generator only for scripted segments, resuming one
+the horizon cut where it stopped.  Algorithms that carry
 a plan (UniversalRV and its asymm-only variant, see
 :class:`repro.core.universal.PlannedAlgorithm`) supply their phase
 loop; any other oracle-mode algorithm is a plan of one scripted
@@ -76,7 +76,7 @@ _STOP = _Stop()
 
 
 class _Raise:
-    """Sentinel: the decision at this trie node raises ``exc``."""
+    """Sentinel: the agent's decision raised ``exc``."""
 
     __slots__ = ("exc",)
 
@@ -108,19 +108,6 @@ def raise_for_stic(exc: Exception, start_round: int) -> NoReturn:
             f"(round {exc.clock + start_round})"
         )
     raise exc
-
-
-class _TrieNode:
-    """One interned decision: the action yielded after a perception
-    stream, plus the decisions reachable from it keyed by the next
-    ``(degree, entry port)`` pair.  The local clock is *not* part of
-    the key: it is a deterministic function of the action prefix."""
-
-    __slots__ = ("action", "children")
-
-    def __init__(self, action: Action | _Stop | _Raise) -> None:
-        self.action = action
-        self.children: dict[tuple[int, int], _TrieNode] = {}
 
 
 @dataclass(frozen=True)
@@ -185,8 +172,6 @@ class _Group:
         "pos",
         "entry",
         "clock",
-        "children",
-        "percepts",
         "script",
         "move_clocks",
         "poslog",
@@ -196,13 +181,11 @@ class _Group:
         "tail_waits",
     )
 
-    def __init__(self, starts: list[int], children: dict) -> None:
+    def __init__(self, starts: list[int]) -> None:
         self.starts = starts
         self.pos = list(starts)
         self.entry = [-1] * len(starts)
         self.clock = 0
-        self.children = children  # current trie level
-        self.percepts: list[Perception] = []
         self.script: AgentScript | None = None
         self.move_clocks: list[int] = []
         self.poslog: list[list[int]] = [[] for _ in starts]
@@ -219,8 +202,6 @@ class _Group:
         sub.pos = [self.pos[i] for i in idx]
         sub.entry = [self.entry[i] for i in idx]
         sub.clock = self.clock
-        sub.children = self.children
-        sub.percepts = list(self.percepts)
         sub.script = None
         sub.move_clocks = list(self.move_clocks)
         sub.poslog = [self.poslog[i] for i in idx]
@@ -400,14 +381,13 @@ class TraceCompiler:
         self._algorithm = algorithm
         self._oracle_factory = oracle_factory
         # Oracle mode compiles every start from a plan (the algorithm's
-        # own, or its whole script as one segment); otherwise classes
-        # of starts share the trie.
+        # own, or its whole script as one segment); otherwise starts
+        # run in classes.
         self._plan: Callable[[object], Iterator[Any]] | None = None
         if oracle_factory is not None:
             self._plan = getattr(algorithm, "segment_plan", None) or (
                 lambda oracle: iter((_WholeScript(algorithm, oracle),))
             )
-        self._trie: dict[tuple[int, int], _TrieNode] = {}
         # Classes the horizon cut, by start: a deeper call resumes them.
         self._groups: dict[int, _Group] = {}
         self._plan_cursors: dict[int, _PlanCursor] = {}
@@ -459,16 +439,20 @@ class TraceCompiler:
             or trace.valid_through >= horizon
         )
 
-    def _replay(self, group: _Group, current: Perception) -> AgentScript:
-        """Fresh generator positioned to decide on ``current``."""
-        wake = group.percepts[0] if group.percepts else current
-        script = self._algorithm(wake)
-        if group.percepts:
-            # Re-feed the recorded stream; by determinism the actions
-            # match the trie, so their values are irrelevant here.
-            next(script)
-            for percept in group.percepts[1:]:
-                script.send(percept)
+    def _restep(self, group: _Group) -> AgentScript:
+        """Fresh generator positioned to decide at ``group.clock``.
+
+        All lanes of a class perceive alike, so stepping one of them
+        from clock 0 replays the class's decisions; none has been made
+        iff the clock is 0, as every action takes a round or more."""
+        start = group.starts[0]
+        script = self._algorithm(
+            Perception(degree=self._deg_list[start], entry_port=None, clock=0)
+        )
+        if group.clock:
+            cur = _PlanCursor(iter(()), start)
+            cur.script = script
+            self._step_script(cur, group.clock - 1, first=True)
         return script
 
     @staticmethod
@@ -634,8 +618,7 @@ class TraceCompiler:
         """Advance the classes of ``starts`` through ``horizon``: the
         live classes of starts compiled before resume where the last
         call cut them, and the other starts begin one fresh class at
-        clock 0, following the trie.  The fresh class runs last, so
-        it follows whatever the live classes add to the trie."""
+        clock 0."""
         live: dict[int, _Group] = {}
         fresh: list[int] = []
         for s in starts:
@@ -644,8 +627,9 @@ class TraceCompiler:
                 fresh.append(int(s))
             else:
                 live[id(g)] = g
-        worklist = [_Group(fresh, self._trie)] if fresh else []
-        worklist += live.values()
+        worklist = list(live.values())
+        if fresh:
+            worklist.append(_Group(fresh))
         deg = self._deg_list
         succ = self._succ_list
         succ_port = self._succ_port_list
@@ -671,28 +655,13 @@ class TraceCompiler:
             script = g.script
             for d, e, idx in parts:
                 sub = g if idx is None else g.split(idx)
+                if script is None:
+                    script = self._restep(sub)
                 percept = Perception(
                     degree=d, entry_port=(None if e < 0 else e), clock=g.clock
                 )
-                first = not g.percepts
-                key = (d, e)
-                child = g.children.get(key)
-                if child is None:
-                    if script is None:
-                        script = self._replay(sub, percept)
-                        action = self._advance(script, percept, first=first)
-                    else:
-                        action = self._advance(script, percept, first=first)
-                    child = _TrieNode(action)
-                    g.children[key] = child
-                elif script is not None:
-                    # Keep the live generator in sync through interned
-                    # decisions so it can extend the trie later.
-                    self._advance(script, percept, first=first)
+                action = self._advance(script, percept, first=g.clock == 0)
                 sub.script, script = script, None  # hand off to this part
-                sub.percepts.append(percept)
-                sub.children = child.children
-                action = child.action
                 if action is _STOP:
                     sub.stopped = True
                 elif isinstance(action, _Raise):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["repeat_ranges", "expand_frontier", "bfs_distances"]
+__all__ = ["repeat_ranges", "bfs_distances"]
 
 
 def repeat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -43,25 +43,6 @@ def repeat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(np.asarray(starts, dtype=np.int64), counts) + (
         np.arange(total, dtype=np.int64) - origins
     )
-
-
-def expand_frontier(
-    indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Neighbors of every frontier node, with their source positions.
-
-    Returns ``(origins, targets)`` where ``targets`` is the
-    concatenation of each node's CSR neighbor list and ``origins[i]``
-    is the position *within* ``nodes`` that produced ``targets[i]`` —
-    the hook multi-source BFS uses to tag expansions with their BFS
-    slot.
-    """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    starts = indptr[nodes]
-    counts = indptr[nodes + 1] - starts
-    origins = np.repeat(np.arange(len(nodes), dtype=np.int64), counts)
-    targets = indices[repeat_ranges(starts, counts)]
-    return origins, targets
 
 
 def bfs_distances(indptr: np.ndarray, indices: np.ndarray, source: int) -> np.ndarray:

@@ -18,7 +18,7 @@ exponential lower bound of Theorem 4.1.  Requires ``h >= 2`` (for
 from __future__ import annotations
 
 from repro.graphs.port_graph import Edge, PortLabeledGraph
-from repro.hardness.qtree import E, N, PORT_NAMES, QTree, S, W, build_qtree
+from repro.hardness.qtree import E, N, QTree, S, W, build_qtree
 
 __all__ = ["build_qhat", "qhat_size"]
 
@@ -89,8 +89,3 @@ def build_qhat(h: int) -> tuple[PortLabeledGraph, QTree]:
     graph = PortLabeledGraph(tree.n, edges)
     assert graph.is_regular() and graph.max_degree == 4, "Q-hat must be 4-regular"
     return graph, tree
-
-
-def port_name(port: int) -> str:
-    """Human-readable name of a ``Q̂_h`` port (N/E/S/W)."""
-    return PORT_NAMES[port]

@@ -10,7 +10,8 @@ the schedule-adversary sweep — see docs/execution_core.md):
 
 1. **Port-trace compiler** (:class:`repro.exec.trace.TraceCompiler`):
    agent behavior is compiled once into :class:`~repro.exec.trace.
-   PortTrace` step-function arrays, interned in a decision trie.
+   PortTrace` step-function arrays, one live generator per class of
+   starts whose perceptions agree.
 2. **Meeting solver** (:func:`repro.exec.meeting.resolve_sync_cell`):
    for a STIC the meeting time is the earliest global round ``t`` in
    ``[delta, max_rounds]`` with ``trace_u(t) == trace_v(t - delta)`` —
@@ -37,8 +38,8 @@ Requirements and caveats:
 * the algorithm must be *deterministic* — identical perception streams
   must yield identical action streams (the model's own assumption);
 * with ``oracle_factory`` set, each start node is compiled alone from
-  a segment plan with no decision trie (an oracle may depend on the
-  start), so only cross-STIC trace reuse remains.  An algorithm that
+  a segment plan (an oracle may depend on the start), so only
+  cross-STIC trace reuse remains.  An algorithm that
   carries a plan (UniversalRV and the asymm-only variant under an
   oracle-mode profile) is compiled from it, its AsymmRV segments in
   closed form, without running its generator; any other algorithm is
@@ -55,18 +56,13 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.exec.deepen import resolve_adaptive
 from repro.exec.meeting import PENDING as _PENDING
-from repro.exec.meeting import resolve_sync_cell, solve_sync_meeting
+from repro.exec.meeting import resolve_sync_cell
 from repro.exec.trace import PortTrace, TraceCompiler
 from repro.exec.trace import raise_for_stic as _raise_for_stic
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.sim.scheduler import RendezvousResult, SimulationLimit
 
 __all__ = ["PortTrace", "TraceCompiler", "run_rendezvous_batch"]
-
-# Module-level solver seam: mutation tests (and instrumented runs)
-# monkeypatch this name to inject bugs; the sweep below looks it up at
-# call time so the patch takes effect.
-_solve_meeting = solve_sync_meeting
 
 
 def run_rendezvous_batch(
@@ -172,7 +168,6 @@ def run_rendezvous_batch(
                 traces[u],
                 traces[v],
                 raise_on_limit,
-                solver=_solve_meeting,
             )
             if outcome is not _PENDING:
                 decided[i] = outcome

@@ -44,13 +44,13 @@ Two engines share these semantics bit-for-bit:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.exec.deepen import resolve_adaptive
 from repro.exec.meeting import PENDING as _PENDING
+from repro.exec.meeting import AsyncOutcome
 from repro.exec.meeting import resolve_async_cell as _try_solve_cell
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.sim.actions import Move, Perception, Wait, WaitBlock
@@ -70,23 +70,6 @@ __all__ = [
     "run_schedule_adversary",
     "run_schedule_sweep",
 ]
-
-
-@dataclass(frozen=True)
-class AsyncOutcome:
-    """Result of an adversarially-scheduled asynchronous run.
-
-    ``met`` refers to a *node* meeting; ``edge_meetings`` counts events
-    where the agents traversed the same edge in opposite directions
-    (a meeting under the relaxed asynchronous definition).  ``events``
-    is the event index of the first node meeting, or the full budget
-    when none occurred.
-    """
-
-    met: bool
-    meeting_node: int | None
-    events: int
-    edge_meetings: int
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ same failure while the bug is live — then passes once it is reverted.
 
 
 import repro.campaigns.checks as checks_module
-import repro.sim.batch as batch_module
+import repro.exec.meeting as meeting_module
 from repro.campaigns.artifacts import load_artifact, replay_artifact, write_artifact
 from repro.campaigns.registry import make_campaign
 from repro.experiments.orchestrator import run_experiment
@@ -87,7 +87,7 @@ def test_lying_uxs_certifier_is_caught(tmp_path, monkeypatch):
 
 
 def test_off_by_one_batch_meeting_solver_is_caught(tmp_path, monkeypatch):
-    original = batch_module._solve_meeting
+    original = meeting_module.solve_sync_meeting
 
     def skewed(trace_a, trace_b, delta, limit):
         hit = original(trace_a, trace_b, delta, limit)
@@ -97,7 +97,7 @@ def test_off_by_one_batch_meeting_solver_is_caught(tmp_path, monkeypatch):
         return t + 1, node
 
     def mutate(patch):
-        patch.setattr(batch_module, "_solve_meeting", skewed)
+        patch.setattr(meeting_module, "solve_sync_meeting", skewed)
 
     _assert_caught_shrunk_and_replayable(
         "differential/stic-sweep", tmp_path, monkeypatch, mutate

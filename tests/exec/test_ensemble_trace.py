@@ -3,12 +3,17 @@ against single-start compiles.
 
 A call that compiles several starts at once (no oracle) runs them as
 classes of lanes in lockstep, sharing one generator per class and
-splitting a class when its lanes' perceptions diverge.  A call with
-one start runs a one-lane class in a fresh compiler.  Both must give
-the same :class:`~repro.exec.trace.PortTrace` for every start, on
-every field and dtype, including for classes that split late and for
-a deeper second call that resumes the classes the first one cut.
+splitting a class when its lanes' perceptions diverge: one part keeps
+the generator, and every other part re-steps a fresh one on one of its
+lanes.  A call with one start runs a one-lane class in a fresh
+compiler.  Both must give the same :class:`~repro.exec.trace.PortTrace`
+for every start, on every field and dtype, including for classes that
+split late or after waits, and for a deeper second call that resumes
+the classes the first one cut.  A compiled class keeps no log of its
+perceptions.
 """
+
+import gc
 
 import numpy as np
 import pytest
@@ -23,7 +28,9 @@ from repro.graphs import (
     star_graph,
 )
 from repro.graphs.random_graphs import random_connected_graph
-from repro.sim import Move, Wait, WaitBlock
+from repro.sim import Move, Perception, Wait, WaitBlock
+from repro.sim.batch import run_rendezvous_batch
+from repro.sim.scheduler import run_rendezvous
 from repro.util.lcg import SplitMix64
 
 #: A 24-ring whose node 12 has its ports swapped: every other node looks
@@ -100,17 +107,17 @@ def test_group_matches_single_start(graph_name, agent_name):
     shallow = compiler.traces({s: 150 for s in starts})
     for s in starts:
         _assert_same_trace(shallow[s], _single(graph, algorithm, s, 150))
-    # Deeper: the classes the first call cut resume, and extend the
-    # trie it built.
+    # Deeper: the classes the first call cut resume.
     deep = compiler.traces({s: 700 for s in starts})
     for s in starts:
         _assert_same_trace(deep[s], _single(graph, algorithm, s, 700))
 
 
-def test_late_split_and_trie_replay():
+def test_late_split_resteps_new_parts():
     """On the far-swap ring, a seeded walker's lanes share one class for
     dozens of moves and then split; the second, deeper call resumes the
-    cut classes and builds at most one generator per final class."""
+    cut classes, and each split builds one generator per new part, so
+    at most one per final class."""
     graph = FAR_SWAP_RING
     built = []
     walker = seeded_agent(23)
@@ -162,3 +169,61 @@ def test_deepening_resumes_the_live_class(graph):
     one_shot = TraceCompiler(graph, walker).traces({s: 16_384 for s in starts})
     for s in starts:
         _assert_same_trace(deep[s], one_shot[s])
+
+
+def waiting_walker(percept):
+    """Waits a round, then a three-round block, then walks on a seeded
+    stream mixed with its entry port: a generator re-stepped to the
+    wrong decision draws from the wrong point of its stream."""
+    rng = SplitMix64(9)
+    percept = yield Wait()
+    percept = yield WaitBlock(3)
+    while True:
+        roll = rng.randrange(6)
+        if roll == 0:
+            percept = yield WaitBlock(rng.randrange(3) + 1)
+        elif roll == 1:
+            percept = yield Wait()
+        else:
+            entry = percept.entry_port or 0
+            percept = yield Move((entry + roll) % percept.degree)
+
+
+def test_split_after_waits_matches_single_start_and_scalar():
+    """Every ring node perceives alike until it has moved, and the
+    first move comes after a ``Wait`` and a ``WaitBlock``; the class
+    then splits at node 12's swapped ports.  Parts re-stepped through
+    both waits give the traces of single-start compiles and the
+    meetings of the scalar scheduler."""
+    graph = FAR_SWAP_RING
+    starts = [5, 8, 10, 11, 14, 17]
+    horizon = 300
+    traces = TraceCompiler(graph, waiting_walker).traces(
+        {s: horizon for s in starts}
+    )
+    for s in starts:
+        assert int(traces[s].times[1]) == 5  # first move at clock 4
+        _assert_same_trace(traces[s], _single(graph, waiting_walker, s, horizon))
+    assert len({id(traces[s].times) for s in starts}) > 1
+    stics = [(u, v, delta) for u in starts for v in starts if u != v for delta in (0, 3)]
+    batch = run_rendezvous_batch(graph, stics, waiting_walker, max_rounds=horizon)
+    for (u, v, delta), got in zip(stics, batch):
+        ref = run_rendezvous(graph, u, v, delta, waiting_walker, max_rounds=horizon)
+        for field in ("met", "meeting_node", "meeting_time", "rounds_executed"):
+            assert getattr(got, field) == getattr(ref, field), ((u, v, delta), field)
+
+
+def _perceptions() -> int:
+    gc.collect()
+    return sum(isinstance(o, Perception) for o in gc.get_objects())
+
+
+def test_compiled_classes_keep_no_perception_log():
+    """A live class holds its generator, which holds at most the last
+    perception sent to it; no class keeps its perception stream."""
+    before = _perceptions()
+    compiler = TraceCompiler(oriented_ring(8), seeded_agent(13))
+    compiler.traces({s: 5000 for s in range(8)})
+    classes = len({id(g) for g in compiler._groups.values()})
+    assert 1 <= classes <= 8
+    assert _perceptions() - before <= classes

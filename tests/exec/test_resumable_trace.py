@@ -2,9 +2,8 @@
 
 In oracle mode each start keeps a plan cursor (committed breakpoints,
 live segment script, position, entry port, clock, tail waits); without
-oracles a class the horizon cut stays live (lanes, trie node, live
-generator, percepts).  Either way each deepening round continues where
-the last one stopped.  These tests pin what that must not change and
+oracles a class the horizon cut stays live (lanes and live generator).
+Either way each deepening round continues where the last one stopped.  These tests pin what that must not change and
 what it must save:
 
 * **oracle mode against the scalar front door**: UniversalRV on every
@@ -20,8 +19,8 @@ what it must save:
   horizon;
 * **one generator per start**: the algorithm is instantiated exactly
   once per start over all deepening rounds (oracle mode, where an
-  algorithm without a plan is one scripted segment), and at most once
-  per start when the shared trie covers part of its history.
+  algorithm without a plan is one scripted segment), and once for a
+  start first requested after another start's compile.
 """
 
 from collections import Counter
@@ -182,10 +181,10 @@ def test_oracle_mode_instantiates_once_per_start():
     assert calls == Counter({u: 1, v: 1})
 
 
-def test_shared_trie_mode_builds_generator_at_most_once():
-    """Without oracles, a start whose history the shared trie already
-    holds follows it with dict lookups; on a vertex-transitive graph
-    the second start never needs a generator at all."""
+def test_start_requested_later_compiles_its_own_class():
+    """Without oracles, a start first requested in a later call begins
+    a class of its own at clock 0, with one generator that deepening
+    keeps live, and its trace equals a direct compile."""
     calls: Counter = Counter()
     base = seeded_agent(7)
 
@@ -198,19 +197,19 @@ def test_shared_trie_mode_builds_generator_at_most_once():
     compiler.trace(0, 600)
     assert calls["total"] == 1
     for horizon in (50, 200, 600):
-        followed = compiler.trace(3, horizon)
-    assert calls["total"] == 1
+        later = compiler.trace(3, horizon)
+    assert calls["total"] == 2
     direct = TraceCompiler(ring, base).trace(3, 600)
-    assert np.array_equal(followed.times, direct.times)
-    assert np.array_equal(followed.nodes, direct.nodes)
+    assert np.array_equal(later.times, direct.times)
+    assert np.array_equal(later.nodes, direct.nodes)
 
-    # On a path, start 3 follows start 0's trie for a few decisions,
-    # then diverges: its generator is built once, from the followed
-    # history, and deepening keeps it live.
+    # On a path, start 3 perceives like start 0 for a few decisions,
+    # then diverges; it still builds exactly one generator.
     graph = graph_pool()[0]
     calls.clear()
     compiler = TraceCompiler(graph, counting)
     compiler.trace(0, 400)
+    assert calls["total"] == 1
     for horizon in (1, 8, 100, 400):
         resumed = compiler.trace(3, horizon)
     assert calls["total"] == 2
