@@ -2,7 +2,7 @@
 
 A **run** is one invocation of the orchestrator over a planned set of
 shards.  Its journal is a file of canonical-JSON lines (one event per
-line, flushed and fsynced as written) under the cache directory::
+line) under the cache directory::
 
     <cache-dir>/runs/<run-id>/journal.jsonl     the event log
     <cache-dir>/runs/<run-id>/quarantine/       poison-shard artifacts
@@ -20,11 +20,17 @@ Events (``{"event": ..., ...}``):
 ``lease`` / ``retry`` / ``complete`` / ``quarantine``
     Per-shard lifecycle, keyed by the shard's content address.
 
-The journal is **crash-tolerant by construction**: appends are single
-lines, so the only possible corruption from a SIGKILL is a truncated
-final line, which :func:`replay_journal` detects and drops.  Replay
-folds the event stream into a :class:`RunState` — the per-key status
-a resumed run (or ``repro campaign status``) starts from.
+An append is one event, or a run's **planning batch** (the ``plan`` or
+``resume`` header plus a ``complete`` for every cache hit), written
+once, then flushed and fsynced once.  Per-shard queue events are one
+append each.  The journal is **crash-tolerant by construction**: lines
+are only ever appended, in order, so a SIGKILL truncates at most the
+last line that reached the file, which :func:`replay_journal` detects
+and drops, and which :class:`RunJournal` cuts before a resume appends.
+Cache-hit ``complete`` events lost that way are journaled again by the
+``--resume`` that follows.  Replay folds the event stream into a
+:class:`RunState` — the per-key status a resumed run (or ``repro
+campaign status``) starts from.
 
 Run ids are *content-derived* (:func:`derive_run_id`): the SHA-256 of
 the planned key set.  The same selection, tier, and seed always maps
@@ -105,18 +111,22 @@ def list_runs(cache_root: str | os.PathLike) -> list[str]:
 class RunJournal:
     """Append-only event log of one run (crash-safe line appends).
 
-    Opened in append mode; every :meth:`append` writes exactly one
-    canonical-JSON line and fsyncs it, so a SIGKILL can lose at most
-    the line being written — never reorder or corrupt earlier ones.
+    Opened in append mode; every :meth:`append` writes one event, or a
+    run's planning batch, as canonical-JSON lines in a single write,
+    then flushes and fsyncs once.  A SIGKILL truncates at most the last
+    line that reached the file — it never reorders or corrupts earlier
+    ones — and :func:`replay_journal` drops that line.
     """
 
     def __init__(self, path: str | os.PathLike, *, fresh: bool = False):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        if not fresh:
+            _end_at_line_boundary(self.path)
         self._fh: IO[str] = open(self.path, "w" if fresh else "a")
 
-    def append(self, event: dict) -> None:
-        self._fh.write(canonical_json(event) + "\n")
+    def append(self, *events: dict) -> None:
+        self._fh.write("".join(canonical_json(event) + "\n" for event in events))
         self._fh.flush()
         os.fsync(self._fh.fileno())
 
@@ -131,6 +141,29 @@ class RunJournal:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
+
+
+def _end_at_line_boundary(path: Path) -> None:
+    """Settle a final line a crash left without its newline, so the
+    next append starts a line of its own.
+
+    The line is judged as :func:`replay_journal` judges it: kept (and
+    terminated) when it parses, cut when it is torn.
+    """
+    try:
+        with open(path, "rb+") as fh:
+            data = fh.read()
+            if not data or data.endswith(b"\n"):
+                return
+            start = data.rfind(b"\n") + 1
+            try:
+                json_roundtrip_line(data[start:].decode())
+            except ValueError:
+                fh.truncate(start)
+            else:
+                fh.write(b"\n")
+    except FileNotFoundError:
+        pass
 
 
 @dataclass

@@ -323,6 +323,10 @@ def run_suite(
         journal_path = rdir / JOURNAL_NAME
         if resume and journal_path.is_file():
             prior = replay_journal(journal_path)
+            if not prior.run_id:
+                # The plan line never reached the file whole: the
+                # journal holds nothing to resume, so start it afresh.
+                prior = None
         journal = RunJournal(journal_path, fresh=prior is None)
 
     try:
@@ -354,37 +358,33 @@ def _run_planned(
     journal: RunJournal | None,
     prior: RunState | None,
 ) -> list[ExperimentRun]:
-    if journal is not None:
-        if prior is None:
-            journal.append(
-                {
-                    "event": "plan",
-                    "run_id": rid,
-                    "version": JOURNAL_VERSION,
-                    "tier": plans[0].config.tier if plans else "",
-                    "seed": plans[0].config.seed if plans else None,
-                    "experiments": [
-                        {"exp_id": plan.config.exp_id, "keys": plan.keys}
-                        for plan in plans
-                    ],
-                }
-            )
-        else:
-            journal.append({"event": "resume", "run_id": rid})
-
-    # Journal cache hits the journal has not seen complete yet, so a
-    # resumed/warm run's ledger still accounts for every shard.
+    # The planning batch: the run header plus a ``complete`` for every
+    # cache hit the journal has not seen complete yet (so a resumed or
+    # warm run's ledger still accounts for every shard), journaled in
+    # one append before any shard runs.
+    if prior is None:
+        batch: list[dict] = [
+            {
+                "event": "plan",
+                "run_id": rid,
+                "version": JOURNAL_VERSION,
+                "tier": plans[0].config.tier if plans else "",
+                "seed": plans[0].config.seed if plans else None,
+                "experiments": [
+                    {"exp_id": plan.config.exp_id, "keys": plan.keys}
+                    for plan in plans
+                ],
+            }
+        ]
+    else:
+        batch = [{"event": "resume", "run_id": rid}]
     tasks: list[ShardTask] = []
     for p, plan in enumerate(plans):
         for s, payload in enumerate(plan.data):
             key = plan.keys[s]
             if payload is not None:
-                if journal is not None and (
-                    prior is None or prior.status.get(key) != "completed"
-                ):
-                    journal.append(
-                        {"event": "complete", "key": key, "cached": True}
-                    )
+                if prior is None or prior.status.get(key) != "completed":
+                    batch.append({"event": "complete", "key": key, "cached": True})
                 continue
             tasks.append(
                 ShardTask(
@@ -396,6 +396,8 @@ def _run_planned(
                     key=key,
                 )
             )
+    if journal is not None:
+        journal.append(*batch)
 
     queue = WorkQueue(
         tasks, policy=queue_policy, journal=journal, run_dir=rdir

@@ -33,6 +33,7 @@ import difflib
 import importlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable
 
 from repro.util.encoding import canonical_json
@@ -64,6 +65,19 @@ class RunConfig:
     tier: str
     seed: int
     params: dict = field(default_factory=dict)
+
+    @cached_property
+    def key_prefix(self) -> str:
+        """Head of every shard key's canonical payload text, up to the
+        ``salt`` value.
+
+        ``exp_id`` and ``params`` sort first among the key payload's
+        fields and are shared by the whole plan, so
+        :func:`repro.experiments.store.shard_key` encodes them once per
+        config and splices only the per-shard fields after them.
+        """
+        head = canonical_json({"exp_id": self.exp_id, "params": self.params})
+        return head[:-1] + ',"salt":'
 
     def to_json_dict(self) -> dict:
         return {

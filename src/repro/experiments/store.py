@@ -76,16 +76,25 @@ def write_atomic(path: Path, text: str) -> None:
 
 
 def shard_key(config: RunConfig, shard: dict, code_version: int) -> str:
-    """Content address of one shard result."""
-    payload = {
-        "exp_id": config.exp_id,
-        "tier": config.tier,
-        "seed": config.seed,
-        "params": config.params,
-        "shard": shard,
-        "salt": f"{STORE_VERSION}:{code_version}",
-    }
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+    """Content address of one shard result.
+
+    The SHA-256 of ``canonical_json({exp_id, tier, seed, params, shard,
+    salt})``, built without re-encoding the plan-wide head: the text
+    starts with :attr:`RunConfig.key_prefix` (``exp_id`` and ``params``)
+    and the remaining fields follow in sorted-key order.
+    """
+    text = (
+        config.key_prefix
+        + canonical_json(f"{STORE_VERSION}:{code_version}")
+        + ',"seed":'
+        + canonical_json(config.seed)
+        + ',"shard":'
+        + canonical_json(shard)
+        + ',"tier":'
+        + canonical_json(config.tier)
+        + "}"
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,15 @@ def _pack_columns(
     return code
 
 
+def _first_of_runs(sorted_arr: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in an
+    ascending array."""
+    mask = np.empty(len(sorted_arr), dtype=bool)
+    mask[:1] = True
+    np.not_equal(sorted_arr[1:], sorted_arr[:-1], out=mask[1:])
+    return mask
+
+
 def _in_sorted(sorted_arr: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Membership mask of ``values`` in an ascending int64 array."""
     if sorted_arr.size == 0:
@@ -558,9 +567,11 @@ class SymmetryContext:
             ports = repeat_ranges(np.zeros(len(frontier), dtype=np.int64), limit)
             next_x = succ[x[state_index], ports]
             next_y = succ[y[state_index], ports]
-            keys = np.unique(
-                slot[state_index] * nn + next_x * np.int64(n) + next_y
-            )
+            # Dedup by sort plus a first-of-run mask: on plain int64
+            # input numpy 2.x's np.unique hashes, tens of times slower
+            # than sorting at millions of keys.
+            keys = np.sort(slot[state_index] * nn + next_x * np.int64(n) + next_y)
+            keys = keys[_first_of_runs(keys)]
             keys = keys[~_in_sorted(visited, keys)]
             if keys.size == 0:
                 break
@@ -578,7 +589,7 @@ class SymmetryContext:
             key_y = key_rest - key_x * n
             diagonal = key_x == key_y
             if diagonal.any():
-                solved = np.unique(key_slot[diagonal])
+                solved = key_slot[diagonal]
                 result[solved] = 0
                 finished[solved] = True
             frontier = keys[~finished[key_slot]]
@@ -605,7 +616,8 @@ class SymmetryContext:
             key_x = key_x[order]
             key_y = key_y[order]
             key_slot = key_slot[order]
-            unique_x, first = np.unique(key_x, return_index=True)
+            first = np.flatnonzero(_first_of_runs(key_x))
+            unique_x = key_x[first]
             bounds = np.concatenate([first, [len(key_x)]])
             row_block = min(len(unique_x), _DEFAULT_BLOCK)
             for c0 in range(0, len(unique_x), row_block):

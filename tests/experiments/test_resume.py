@@ -123,6 +123,61 @@ def test_sigkill_then_resume_zero_recompute_byte_identical(tmp_path):
     assert all(c["cached"] == c["planned"] for _, c in rows)
 
 
+def test_sigkill_warm_run_then_resume_zero_recompute(tmp_path):
+    cache = tmp_path / "cache"
+    md_cold = tmp_path / "cold.md"
+    cold = subprocess.run(
+        _repro(cache=cache, md=md_cold),
+        env=_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert cold.returncode == 0, cold.stdout + cold.stderr
+    total, _, _ = _summary(cold.stdout)
+    [run_id] = list_runs(cache)
+    journal_path = run_dir(cache, run_id) / "journal.jsonl"
+    journal_path.unlink()
+
+    # SIGKILL the warm run as soon as its journal exists: the kill
+    # lands before, inside, or (on a fast machine) after its one
+    # planning-batch append, and the resume must hold in every case.
+    md_resumed = tmp_path / "resumed.md"
+    proc = subprocess.Popen(
+        _repro(cache=cache, md=md_resumed),
+        env=_env(),
+        start_new_session=True,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    deadline = time.monotonic() + 120
+    while time.monotonic() < deadline:
+        if proc.poll() is not None or journal_path.exists():
+            break
+        time.sleep(0.001)
+    if proc.poll() is None:
+        os.killpg(proc.pid, signal.SIGKILL)
+    proc.wait(timeout=60)
+    replay_journal(journal_path)  # at most a torn final line
+
+    result = subprocess.run(
+        _repro("--resume", cache=cache, md=md_resumed),
+        env=_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert _summary(result.stdout) == (total, 0, total)
+    assert f"run id: {run_id}" in result.stdout
+    assert md_resumed.read_bytes() == md_cold.read_bytes()
+    state, rows = journal_status(ResultStore(cache), run_id)
+    counts = state.counts()
+    assert counts["completed"] == counts["planned"] == total
+    assert counts["leased"] == counts["quarantined"] == 0
+    assert all(c["cached"] == c["planned"] for _, c in rows)
+
+
 def test_quarantine_isolates_poison_shard_from_suite(tmp_path, monkeypatch):
     # FIG1's only smoke shard fails deterministically; the suite must
     # quarantine it (with a replayable artifact) and still merge the
