@@ -9,6 +9,7 @@ answers every ``(partner, delta)`` question against it, so the win
 grows with the number of STICs per start node.
 """
 
+import numpy as np
 from conftest import emit, paired_ratio
 
 from repro.core import (
@@ -17,6 +18,8 @@ from repro.core import (
     make_universal_algorithm,
     universal_stic_budget,
 )
+from repro.exec import meeting
+from repro.exec.trace import PortTrace
 from repro.experiments.records import ExperimentRecord
 from repro.graphs import oriented_ring, oriented_torus
 from repro.sim.batch import run_rendezvous_batch
@@ -157,3 +160,55 @@ def test_batch_sweep_throughput(benchmark):
     assert sum(r.met for r in results) == sum(
         1 for u, v, delta in stics if classify_stic(graph, u, v, delta).feasible
     )
+
+
+def _sparse_pair(breakpoints, rounds_per_breakpoint):
+    """Two never-meeting traces of ``breakpoints`` breakpoints each,
+    about ``rounds_per_breakpoint`` rounds apart, with their solve
+    window: both solves must scan all of it."""
+    rng = np.random.default_rng(rounds_per_breakpoint)
+    traces = []
+    for parity in (0, 1):
+        gaps = 1 + rng.poisson(rounds_per_breakpoint - 1, breakpoints - 1)
+        times = np.concatenate(([0], np.cumsum(gaps)))
+        nodes = 2 * rng.integers(0, 50, breakpoints) + parity
+        traces.append(PortTrace(0, times, nodes, 1 << 40, True))
+    a, b = traces
+    delta = 7
+    limit = int(min(a.times[-1], b.times[-1] + delta))
+    cut_a = int(a.times.searchsorted(limit, side="right"))
+    cut_b = int(b.times.searchsorted(limit - delta, side="right"))
+    return a, b, delta, limit, cut_a, cut_b
+
+
+def test_sync_solve_density_constant_splits_the_faster_solves():
+    """Half below ``DENSE_ROUNDS_PER_BREAKPOINT`` the round-indexed
+    solve wins; at four times it the breakpoint merge wins (3,000
+    breakpoints a trace, where the two break even soonest)."""
+    ratios = {}
+    for factor in (0.5, 4):
+        density = int(factor * meeting.DENSE_ROUNDS_PER_BREAKPOINT)
+        a, b, delta, limit, cut_a, cut_b = _sparse_pair(3000, density)
+
+        def dense():
+            for _ in range(20):
+                hit = meeting._solve_dense(a, b, delta, limit, cut_a, cut_b)
+            return hit
+
+        def merge():
+            for _ in range(20):
+                hit = meeting._solve_merge(a, b, delta, cut_a, cut_b)
+            return hit
+
+        ratio, merge_s, dense_s, got_merge, got_dense = paired_ratio(
+            merge, dense, pairs=5
+        )
+        assert got_merge is None and got_dense is None
+        ratios[density] = ratio
+        print(
+            f"{density} rounds/breakpoint: dense {dense_s / 20 * 1e6:.0f} us, "
+            f"merge {merge_s / 20 * 1e6:.0f} us"
+        )
+    low, high = sorted(ratios)
+    assert ratios[low] >= 1.5, ratios
+    assert ratios[high] <= 1 / 1.5, ratios

@@ -6,11 +6,16 @@ trajectories first coincide?* — under two different clocks:
 * **Synchronous** (:func:`solve_sync_meeting`, :func:`resolve_sync_cell`):
   global rounds; agent 1 starts ``delta`` rounds late; a meeting is
   the earliest global round ``t`` in ``[delta, limit]`` with
-  ``a(t) == b(t - delta)``.  Solved by merging the two traces'
-  O(#moves) breakpoints, never by stepping rounds.  (Merging keeps
-  duplicates: a repeated breakpoint yields two identical gather rows
-  and ``argmax`` still reports the first — the dedupe pass
-  ``np.union1d`` would add buys nothing.)
+  ``a(t) == b(t - delta)``.  The density rule picks the solve: while
+  the rounds to compare number at most
+  :data:`DENSE_ROUNDS_PER_BREAKPOINT` times the breakpoints they
+  cover, both traces are expanded to one position per round
+  (``np.repeat``) and compared in one shifted array pass; otherwise
+  (long ``WaitBlock`` stretches under a large budget) the two traces'
+  O(#moves) breakpoints are merged, so memory never scales with the
+  budget.  (Merging keeps duplicates: a repeated breakpoint yields two
+  identical gather rows and ``argmax`` still reports the first — the
+  dedupe pass ``np.union1d`` would add buys nothing.)
 * **Asynchronous** (:func:`resolve_async_cell`): adversary events;
   positions are gathers of each trace's ``nodes`` array through the
   schedule's cumulative activation counts; *edge meetings* are events
@@ -71,6 +76,24 @@ class AsyncOutcome:
 # ---------------------------------------------------------------------------
 
 
+#: The round-indexed solve runs while the rounds it expands (both
+#: traces, one position per round) number at most this many times the
+#: breakpoints they cover; past it the breakpoint merge is faster.
+#: Timed on never-meeting synthetic pairs (2-CPU x86 host, numpy 2.4),
+#: the two solves break even at 10-13 rounds per breakpoint for
+#: 3,000-30,000 breakpoints and later for fewer or more (24-32 at
+#: 1,000, about 20 at 100,000, past 32 at 300); at 8 the
+#: round-indexed one is 1.3-5x faster.  The solves of every
+#: experiment and of the ``core`` and ``random`` campaigns, at every
+#: tier, read at most 5.9 rounds per breakpoint (the ``random`` stress
+#: tier; at most 4.1 elsewhere), so none of them reaches the merge;
+#: traces that mostly wait (``WaitBlock`` stretches under a large
+#: budget) do, and the merge keeps their memory O(#moves).
+#: ``benchmarks/test_bench_batch_sweep.py`` checks that each side of
+#: the constant keeps its faster solve.
+DENSE_ROUNDS_PER_BREAKPOINT = 8
+
+
 def solve_sync_meeting(
     trace_a: PortTrace,
     trace_b: PortTrace,
@@ -79,14 +102,58 @@ def solve_sync_meeting(
 ) -> tuple[int, int] | None:
     """Earliest ``(t, node)`` with ``a(t) == b(t - delta)``, for global
     ``t`` in ``[delta, limit]`` inclusive; ``None`` when they never
-    coincide there.  Works on trace breakpoints, not rounds."""
+    coincide there.  Round-indexed when the traces are dense in the
+    window, a breakpoint merge otherwise (the module's density rule);
+    both give the same answer."""
     if delta > limit:
         return None
+    cut_a = int(trace_a.times.searchsorted(limit, side="right"))
+    cut_b = int(trace_b.times.searchsorted(limit - delta, side="right"))
+    rounds = 2 * limit - delta + 2
+    if rounds <= DENSE_ROUNDS_PER_BREAKPOINT * (cut_a + cut_b):
+        return _solve_dense(trace_a, trace_b, delta, limit, cut_a, cut_b)
+    return _solve_merge(trace_a, trace_b, delta, cut_a, cut_b)
+
+
+def _positions(trace: PortTrace, cut: int, end: int) -> np.ndarray:
+    """Node at every local clock ``0..end`` (``cut`` breakpoints are
+    ``<= end``): one ``np.repeat`` of the step function."""
+    times = trace.times[:cut]
+    # Run lengths by hand: ``np.diff(append=)`` costs twice as much on
+    # the short traces most solves see.
+    runs = np.empty_like(times)
+    np.subtract(times[1:], times[:-1], out=runs[:-1])
+    runs[-1] = end + 1 - times[-1]
+    return trace.nodes[:cut].repeat(runs)
+
+
+def _solve_dense(
+    trace_a: PortTrace,
+    trace_b: PortTrace,
+    delta: int,
+    limit: int,
+    cut_a: int,
+    cut_b: int,
+) -> tuple[int, int] | None:
+    """One shifted compare of the round-indexed positions."""
+    pos_a = _positions(trace_a, cut_a, limit)[delta:]
+    eq = pos_a == _positions(trace_b, cut_b, limit - delta)
+    k = int(eq.argmax())
+    if not eq[k]:
+        return None
+    return delta + k, int(pos_a[k])
+
+
+def _solve_merge(
+    trace_a: PortTrace,
+    trace_b: PortTrace,
+    delta: int,
+    cut_a: int,
+    cut_b: int,
+) -> tuple[int, int] | None:
+    """Positions gathered at the merged breakpoints of both traces."""
     ta = trace_a.times
-    tb = trace_b.times + delta
-    cut_a = int(np.searchsorted(ta, limit, side="right"))
-    cut_b = int(np.searchsorted(tb, limit, side="right"))
-    bp = np.sort(np.concatenate((ta[:cut_a], tb[:cut_b])))
+    bp = np.sort(np.concatenate((ta[:cut_a], trace_b.times[:cut_b] + delta)))
     bp = bp[bp >= delta]
     if len(bp) == 0 or bp[0] != delta:
         bp = np.concatenate(([delta], bp))

@@ -21,10 +21,13 @@ run_rendezvous_batch`) compiles each agent's trace once for every
 UniversalRV's segment plan: AsymmRV segments in closed form, SymmRV
 segments stepped (:mod:`repro.exec.trace`).  The rows are identical
 to the scalar front door :func:`repro.core.universal.rendezvous` run
-per delta.  The battery draws each seed's word once per case.
+per delta.  The battery draws and walks each seed's word once per
+case, from each start.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.core.profile import TUNED
 from repro.core.universal import (
@@ -117,33 +120,37 @@ def _oblivious_battery(graph, u, v, deltas, rounds, seeds) -> list[bool]:
 
     Each word is one fixed deterministic algorithm (both agents play
     it identically); Lemma 3.1 says none can meet.  A word depends on
-    its seed only, so it is drawn once for every delay.
+    its seed only, so it is drawn and walked once from ``u`` and once
+    from ``v``; each delay is then one shifted compare of the walks.
     """
     succ = graph.succ_node_array.tolist()
     degrees = graph.degrees.tolist()
-    words = [
-        generate_offset_stream(
+    walks = []
+    for seed in seeds:
+        word = generate_offset_stream(
             derive_seed("infeasible-battery", seed), 64, rounds
         ).tolist()
-        for seed in seeds
-    ]
-    return [
-        any(_word_meets(succ, degrees, u, v, delta, word) for word in words)
-        for delta in deltas
-    ]
+        walks.append((_walk(succ, degrees, u, word), _walk(succ, degrees, v, word)))
+    return [any(_meets(a, b, delta) for a, b in walks) for delta in deltas]
 
 
-def _word_meets(succ, degrees, u, v, delta, word) -> bool:
-    """Both agents play ``word``, the second from ``delta`` rounds on."""
-    pos_a, pos_b = u, v
-    for t, port in enumerate(word):
-        if t >= delta:
-            if pos_a == pos_b:
-                return True
-            pos_b = succ[pos_b][word[t - delta] % degrees[pos_b]]
-        pos_a = succ[pos_a][port % degrees[pos_a]]
-    # The configuration after the last move, at time ``len(word)``.
-    return len(word) >= delta and pos_a == pos_b
+def _walk(succ, degrees, start, word) -> np.ndarray:
+    """Positions of an agent playing ``word`` from ``start``, after each
+    of its ``0..len(word)`` letters."""
+    pos = start
+    path = [pos]
+    for port in word:
+        pos = succ[pos][port % degrees[pos]]
+        path.append(pos)
+    return np.asarray(path)
+
+
+def _meets(walk_a, walk_b, delta) -> bool:
+    """Both agents play one word, the second from ``delta`` rounds on:
+    they meet at some time ``t`` in ``[delta, len(word)]`` with
+    ``walk_a[t] == walk_b[t - delta]``."""
+    span = len(walk_a) - delta
+    return span > 0 and bool((walk_a[delta:] == walk_b[:span]).any())
 
 
 def make_shards(config: RunConfig) -> list[dict]:

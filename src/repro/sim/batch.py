@@ -15,8 +15,9 @@ the schedule-adversary sweep — see docs/execution_core.md):
 2. **Meeting solver** (:func:`repro.exec.meeting.resolve_sync_cell`):
    for a STIC the meeting time is the earliest global round ``t`` in
    ``[delta, max_rounds]`` with ``trace_u(t) == trace_v(t - delta)`` —
-   found by merging the two traces' O(#moves) breakpoints, never by
-   stepping rounds.
+   one shifted compare of round-indexed positions while the traces
+   are dense in the window, a merge of their O(#moves) breakpoints
+   otherwise (the density rule of :mod:`repro.exec.meeting`).
 3. **Adaptive deepening** (:func:`repro.exec.deepen.resolve_adaptive`):
    compile shallow, solve, deepen geometrically — STICs that meet
    early never pay for the deepest STIC's horizon.

@@ -83,6 +83,57 @@ def test_oblivious_battery_checks_the_final_configuration():
     assert _oblivious_battery(graph, 0, 1, [1], rounds=0, seeds=[0]) == [False]
 
 
+def _word_meets(succ, degrees, u, v, delta, word) -> bool:
+    """The per-delay scalar walk: both agents play ``word``, the second
+    from ``delta`` rounds on."""
+    pos_a, pos_b = u, v
+    for t, port in enumerate(word):
+        if t >= delta:
+            if pos_a == pos_b:
+                return True
+            pos_b = succ[pos_b][word[t - delta] % degrees[pos_b]]
+        pos_a = succ[pos_a][port % degrees[pos_a]]
+    return len(word) >= delta and pos_a == pos_b
+
+
+@pytest.mark.parametrize("family", ["ring6", "path5", "star4", "random7"])
+def test_oblivious_battery_matches_per_delay_walks(family):
+    """Walk-once-and-shift against re-walking both agents per delay,
+    for every start pair and delays up to past the word's end."""
+    from repro.exec.uxs import generate_offset_stream
+    from repro.experiments.e_infeasible import _oblivious_battery
+    from repro.graphs import oriented_ring, path_graph, star_graph
+    from repro.graphs.random_graphs import random_connected_graph
+    from repro.util.lcg import derive_seed
+
+    graph = {
+        "ring6": lambda: oriented_ring(6),
+        "path5": lambda: path_graph(5),
+        "star4": lambda: star_graph(4),
+        "random7": lambda: random_connected_graph(7, 3, seed=2),
+    }[family]()
+    succ = graph.succ_node_array.tolist()
+    degrees = graph.degrees.tolist()
+    rounds, seeds, deltas = 30, range(3), range(34)
+    words = [
+        generate_offset_stream(
+            derive_seed("infeasible-battery", s), 64, rounds
+        ).tolist()
+        for s in seeds
+    ]
+    met = 0
+    for u in range(graph.n):
+        for v in range(graph.n):
+            got = _oblivious_battery(graph, u, v, deltas, rounds, seeds)
+            want = [
+                any(_word_meets(succ, degrees, u, v, d, w) for w in words)
+                for d in deltas
+            ]
+            assert got == want, (u, v)
+            met += sum(got)
+    assert 0 < met < graph.n**2 * len(deltas)
+
+
 def test_runner_selection_and_markdown():
     runs = run_suite(["FIG1", "TAB-SHRINK"], tier="fast")
     assert len(runs) == 2

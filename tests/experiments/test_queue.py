@@ -8,6 +8,8 @@ cannot corrupt the ledger; and journal replay survives exactly
 the corruption a SIGKILL can produce (a truncated final line).
 """
 
+import multiprocessing
+import os
 import sys
 import types
 
@@ -18,6 +20,7 @@ from repro.experiments.journal import (
     derive_run_id,
     replay_journal,
 )
+from repro.experiments import queue as queue_mod
 from repro.experiments.queue import (
     COMPLETED,
     PENDING,
@@ -122,6 +125,35 @@ class TestLeaseDiscipline:
         assert artifact is not None and artifact.is_file()
         # And a late result from the expired lease is a no-op.
         assert queue.complete(lease2.task) is False
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity calls"
+)
+class TestWorkerPlacement:
+    def test_each_worker_starts_on_the_next_cpu_then_gets_all_back(
+        self, monkeypatch
+    ):
+        cpus = [3, 5, 8]
+        calls = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+        monkeypatch.setattr(
+            os, "sched_setaffinity", lambda pid, mask: calls.append(set(mask))
+        )
+        slots = multiprocessing.Value("i", 0)
+        for _ in range(4):
+            queue_mod._start_on_own_cpu(slots)
+        assert calls[0::2] == [{3}, {5}, {8}, {3}]
+        assert calls[1::2] == [set(cpus)] * 4
+
+    def test_pool_workers_keep_the_full_cpu_set(self):
+        allowed = os.sched_getaffinity(0)
+        pool = queue_mod._worker_pool(2)
+        try:
+            masks = [pool.submit(os.sched_getaffinity, 0) for _ in range(4)]
+            assert all(mask.result() == allowed for mask in masks)
+        finally:
+            pool.shutdown()
 
 
 class TestQuarantineArtifacts:

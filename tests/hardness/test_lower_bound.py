@@ -2,12 +2,14 @@
 
 import pytest
 
+import repro.hardness.lower_bound as lower_bound_module
 from repro.hardness import (
     STAY,
     build_qhat,
     build_qtree,
     dedicated_word,
     midpoint_dichotomy,
+    opposite,
     simulate_word,
     simulate_word_symbolic,
     theoretical_bound,
@@ -15,7 +17,9 @@ from repro.hardness import (
     z_paths,
     z_set,
 )
-from repro.hardness.qtree import E, N, S
+from repro.hardness.lower_bound import _z_meeting_times
+from repro.hardness.qtree import E, N, S, W
+from repro.util.lcg import SplitMix64, derive_seed
 
 
 class TestZSet:
@@ -143,3 +147,108 @@ class TestDichotomy:
         assert not failed.met
         with pytest.raises(ValueError):
             midpoint_dichotomy(tree, member, failed)
+
+
+def scalar_meeting_time(k, word, path):
+    """The oracle: one symbolic walk of the STIC ``[(r, path), 2k]``."""
+    horizon = len(word) + 10 * k
+    out = simulate_word_symbolic(4 * k, word, (), path, 2 * k, horizon)
+    return out.time_from_later
+
+
+def scalar_worst_case(k, word):
+    """The per-``v`` loop ``worst_case_meeting_time`` replaced."""
+    worst = 0
+    for path in z_paths(k):
+        time = scalar_meeting_time(k, word, path)
+        if time is None:
+            raise AssertionError(f"dedicated word failed to meet for v={path}")
+        worst = max(worst, time)
+    return worst
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except (AssertionError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.fixture
+def no_scalar_walks(monkeypatch):
+    """Fails any symbolic walk: the free-group pass must serve alone."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar walk taken")
+
+    monkeypatch.setattr(lower_bound_module, "simulate_word_symbolic", refuse)
+
+
+class TestFreeGroupPass:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
+    def test_every_v_matches_symbolic_walk(self, k, monkeypatch, no_scalar_walks):
+        times = list(_z_meeting_times(k))
+        monkeypatch.undo()
+        word = dedicated_word(k)
+        assert times == [scalar_meeting_time(k, word, p) for p in z_paths(k)]
+
+    @pytest.mark.parametrize("k", [8, 9])
+    def test_seeded_sample_matches_symbolic_walk(self, k, monkeypatch, no_scalar_walks):
+        times = list(_z_meeting_times(k))
+        monkeypatch.undo()
+        word = dedicated_word(k)
+        paths = z_paths(k)
+        rng = SplitMix64(derive_seed("t41-free-group-sample", k))
+        for index in sorted({rng.randrange(len(paths)) for _ in range(6)}):
+            assert times[index] == scalar_meeting_time(k, word, paths[index])
+        assert max(times) == {8: 8160, 9: 18396}[k]
+
+    def test_word_leaving_q_h_raises_the_scalar_error(self):
+        # v = NNNN meets at once; for v = NENE agent a climbs N past the
+        # leaves (h = 8) before any meeting.
+        word = (N,) * 20
+        got = outcome(lambda: worst_case_meeting_time(2, word=word))
+        assert got == outcome(lambda: scalar_worst_case(2, word))
+        assert got[0] == "ValueError" and "leave Q_h" in got[1]
+        with pytest.raises(ValueError, match="leave Q_h"):
+            list(_z_meeting_times(2, word=word))
+
+    def test_word_that_never_meets_names_the_first_v(self, no_scalar_walks):
+        word = (STAY, N, S)
+        got = outcome(lambda: worst_case_meeting_time(2, word=word))
+        first = z_paths(2)[0]
+        assert got == ("AssertionError", f"dedicated word failed to meet for v={first}")
+
+    def test_random_words_match_the_scalar_loop(self, monkeypatch):
+        """Words of ``γγ`` and random excursions, on either side of the
+        exactness guard: the same per-``v`` times, worst case or error."""
+        sides = []
+        free_group_pass = lower_bound_module._free_group_meeting_times
+
+        def spy(*args):
+            times = free_group_pass(*args)
+            sides.append("scalar" if times is None else "free group")
+            return times
+
+        monkeypatch.setattr(lower_bound_module, "_free_group_meeting_times", spy)
+        for seed in range(32):
+            rng = SplitMix64(derive_seed("t41-random-word", seed))
+            k = 1 + rng.randrange(3)
+            depth = 1 + rng.randrange(4 * k)
+            paths = z_paths(k)
+            word = []
+            for _ in range(1 + rng.randrange(6)):
+                if rng.randrange(2):
+                    out = list(paths[rng.randrange(len(paths))])
+                else:
+                    steps = 1 + rng.randrange(depth)
+                    out = [(N, E, S, W)[rng.randrange(4)] for _ in range(steps)]
+                back = [opposite(x) for x in reversed(out)]
+                word += out + [STAY] * rng.randrange(3) + back
+            word = tuple(word)
+            expected = outcome(lambda: [scalar_meeting_time(k, word, p) for p in paths])
+            assert outcome(lambda: list(_z_meeting_times(k, word=word))) == expected
+            assert outcome(lambda: worst_case_meeting_time(k, word=word)) == outcome(
+                lambda: scalar_worst_case(k, word)
+            )
+        assert {"scalar", "free group"} <= set(sides), sides
